@@ -37,7 +37,7 @@ from .search import (
 )
 
 
-def hadamard_counterexample(jobs: int = 1):
+def hadamard_counterexample():
     for v in (1, 2, 3):
         family = hadamard_plus_full(v)
         n = 4 * v - 1
@@ -46,13 +46,13 @@ def hadamard_counterexample(jobs: int = 1):
         profile = distance_set(family.to_vector_system())
         if not (profile.is_constant and profile.common_value == 2 * v):
             return False, f"v={v}: distances {profile.distances} not constant 2v"
-    result = search_max(SearchProblem(3, 2, PRED_DIST_CONST, lam=2), jobs=jobs)
+    result = search_max(SearchProblem(3, 2, PRED_DIST_CONST, lam=2))
     if result.max_size != 4:
         return False, f"search(n=3, q=2, d=2) gave {result.max_size}, expected 4"
     return True, "sizes 4v = n+1 at constant distance 2v; searched maximum is exactly 4"
 
 
-def mod_distance_bound_sweep(jobs: int = 1):
+def mod_distance_bound_sweep():
     checked = 0
     tight = []
     for n, q, p in product(range(1, 5), (2, 3), (3, 5, 7)):
@@ -60,9 +60,7 @@ def mod_distance_bound_sweep(jobs: int = 1):
             verdict = check_mod_distance_hypotheses(n, q, p, lam)
             if not verdict.holds:
                 continue
-            result = search_max(
-                SearchProblem(n, q, PRED_DIST_MOD, lam=lam, p=p), jobs=jobs
-            )
+            result = search_max(SearchProblem(n, q, PRED_DIST_MOD, lam=lam, p=p))
             checked += 1
             if result.max_size > verdict.bound:
                 return False, (
@@ -71,7 +69,7 @@ def mod_distance_bound_sweep(jobs: int = 1):
                 )
             if result.max_size == verdict.bound:
                 tight.append((n, q, p, lam))
-    anchor = search_max(SearchProblem(4, 2, PRED_DIST_MOD, lam=2, p=3), jobs=jobs)
+    anchor = search_max(SearchProblem(4, 2, PRED_DIST_MOD, lam=2, p=3))
     if anchor.max_size != 4:
         return False, f"anchor row (4,2,3,2) gave {anchor.max_size}, expected 4"
     if not tight:
@@ -79,13 +77,13 @@ def mod_distance_bound_sweep(jobs: int = 1):
     return True, f"{checked} grid points within bound; {len(tight)} tight, anchor max = 4"
 
 
-def distance_count_bound_sweep(jobs: int = 1):
+def distance_count_bound_sweep():
     checked = 0
     for n, q in product(range(1, 5), (2, 3)):
         for s in (1, 2):
             if s > n:
                 continue
-            exact = max_with_distance_count(n, q, s, jobs=jobs)
+            exact = max_with_distance_count(n, q, s)
             bound = delsarte_bound(n, q, s)
             checked += 1
             if exact > bound:
@@ -93,7 +91,7 @@ def distance_count_bound_sweep(jobs: int = 1):
     return True, f"{checked} (n, q, s) points within the Delsarte bound"
 
 
-def constant_vector_distance_sums(jobs: int = 1):
+def constant_vector_distance_sums():
     for n, q, p in ((3, 2, 5), (3, 3, 5), (4, 3, 5)):
         ctx = PrimeFieldCtx(p)
         expected = n * (q - 1) % p
@@ -104,7 +102,7 @@ def constant_vector_distance_sums(jobs: int = 1):
     return True, "sum over constant vectors is n(q-1) mod p on all q^n tuples"
 
 
-def hamming_tight_certificates(jobs: int = 1):
+def hamming_tight_certificates():
     for v, p, lam in ((1, 5, 2), (2, 7, 4)):
         system = hadamard_plus_full(v).to_vector_system()
         cert = hamming_tight_certificate(system, p, lam)
@@ -118,7 +116,7 @@ def hamming_tight_certificates(jobs: int = 1):
     return True, "coefficients are -1/lambda and the forced congruence holds mod p"
 
 
-def two_distance_certificates(jobs: int = 1):
+def two_distance_certificates():
     cert = two_distance_certificate(pentagon())
     relation = cert.identity("maximal_two_distance_relation")
     if not (cert.passed and relation.left == relation.right == "5/4"):
@@ -136,7 +134,7 @@ def two_distance_certificates(jobs: int = 1):
     return True, "relation sides 5/4 and 9/8 match exactly; 27-line Gram is PSD of rank 6"
 
 
-def neumaier_ratio(jobs: int = 1):
+def neumaier_ratio():
     jp = johnson_pairs(6)
     a, b = Fraction(jp.value_a), Fraction(jp.value_b)
     d1sq, d2sq = sorted((2 - 2 * a, 2 - 2 * b))
@@ -152,7 +150,7 @@ def neumaier_ratio(jobs: int = 1):
     return True, "johnson ratio 1/2 gives m = 2; pentagon below the size threshold"
 
 
-def mod_design_certificates(jobs: int = 1):
+def mod_design_certificates():
     cert = mod_design_certificate(fano_plane(), 5)
     if not cert.passed:
         return False, f"fano p=5: verdict {cert.verdict}"
@@ -166,7 +164,7 @@ def mod_design_certificates(jobs: int = 1):
     return True, "fano and the PG(2,11) lambda-design satisfy both congruences"
 
 
-def ryser_dichotomy(jobs: int = 1):
+def ryser_dichotomy():
     cert = ryser_decompose(fano_plane(), 1)
     if not (
         cert.passed
@@ -191,7 +189,7 @@ def ryser_dichotomy(jobs: int = 1):
     return True, "fano is alternative A (kappa 1/3, r 3); near-pencils are B with r + r' = n+1"
 
 
-def independence_oracle_equivalence(jobs: int = 1):
+def independence_oracle_equivalence():
     import random
 
     def brute_independent(rows, p):
@@ -236,13 +234,13 @@ CRITERIA = (
 )
 
 
-def run_suite(filter_substring: str | None = None, jobs: int = 1, log=None):
+def run_suite(filter_substring: str | None = None, log=None):
     """Run every matching criterion; returns the result rows."""
     rows = []
     for index, (slug, fn) in enumerate(CRITERIA, start=1):
         if filter_substring and filter_substring not in slug:
             continue
-        passed, detail = fn(jobs=jobs)
+        passed, detail = fn()
         rows.append({"index": index, "criterion": slug, "passed": passed, "detail": detail})
         if log is not None:
             log(f"{'PASS' if passed else 'FAIL'}  {index:2d} {slug}: {detail}")

@@ -16,7 +16,7 @@ import json
 import sys
 import time
 
-from . import acceptance, kernel
+from . import acceptance
 from .bounds import (
     check_mod_distance_hypotheses,
     delsarte_bound,
@@ -158,13 +158,11 @@ def build_parser() -> Parser:
     p.add_argument("--p", type=int)
     p.add_argument("--dist-list", help="comma-separated allowed distances for dist-set")
     p.add_argument("--target", type=int, help="stop early once this size is reached")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--max-space", type=int, help="override the search-space guard")
     p.add_argument("--out")
 
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--filter", help="run only criteria whose name contains this substring")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
 
     return parser
@@ -338,9 +336,8 @@ def _run_search(args):
         allowed=allowed,
         target_size=args.target,
     )
-    result = search_max(problem, jobs=args.jobs, max_space=args.max_space)
+    result = search_max(problem, max_space=args.max_space)
     payload = result.to_json_dict()
-    payload["kernel_backend"] = kernel.BACKEND
     inputs = [args.n, args.q, predicate, args.lam, args.p, allowed, args.target]
     return "pass", payload, inputs, payload
 
@@ -348,7 +345,6 @@ def _run_search(args):
 def _run_verify(args):
     rows = acceptance.run_suite(
         filter_substring=args.filter,
-        jobs=args.jobs,
         log=lambda line: print(line, file=sys.stderr),
     )
     ok = all(r["passed"] for r in rows) and rows

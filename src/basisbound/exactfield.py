@@ -10,6 +10,7 @@ by exact comparison of squares.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -197,11 +198,7 @@ class QuadExt:
 def is_square_int(m: int) -> bool:
     if m < 0:
         return False
-    r = int(m**0.5)
-    while r * r > m:
-        r -= 1
-    while (r + 1) * (r + 1) <= m:
-        r += 1
+    r = math.isqrt(m)
     return r * r == m
 
 

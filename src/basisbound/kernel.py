@@ -1,29 +1,173 @@
-"""Kernel selection: compiled extension when present, pure Python otherwise.
+"""Search kernel: pairwise compatibility masks and the branch-and-bound
+maximum-clique search over them.
 
-Set BASISBOUND_PURE=1 to force the pure backend (used by the benchmark and
-the equivalence tests).
+A vertex set is a Python integer used as a bitmask (bit j is vertex j), and
+row i of the adjacency is the mask of the vertices compatible with vertex i.
+Both searches keep an explicit stack, so a clique as deep as the whole space
+costs no interpreter recursion, and both bound each node by a greedy
+colouring of its candidate set: a clique meets every colour class at most
+once (Tomita & Seki, MCQ, 2003; San Segundo et al., BBMC, 2011).
 """
 
-import os
+from __future__ import annotations
 
-from . import _kernel_py
+MODE_DIST_EQ = 0
+MODE_DIST_MOD = 1
+MODE_DIST_SET = 2
+MODE_INTERSECT = 3
 
-MODE_DIST_EQ = _kernel_py.MODE_DIST_EQ
-MODE_DIST_MOD = _kernel_py.MODE_DIST_MOD
-MODE_DIST_SET = _kernel_py.MODE_DIST_SET
-MODE_INTERSECT = _kernel_py.MODE_INTERSECT
 
-_impl = _kernel_py
-BACKEND = "pure"
+def adjacency(vectors, n, mode, m1, m2, allowed_mask):
+    """Compatibility bitmask per vector: bit j of row i is set when the
+    predicate holds for the pair (i, j).  `vectors` is a list of length-n
+    byte strings; `allowed_mask` encodes a distance set for MODE_DIST_SET.
+    """
+    count = len(vectors)
+    binary = all(max(v, default=0) <= 1 for v in vectors)
+    if binary:
+        packed = [int.from_bytes(v, "little") for v in vectors]
+    rows = [0] * count
+    for i in range(count):
+        vi = vectors[i]
+        pi = packed[i] if binary else None
+        for j in range(i + 1, count):
+            if binary:
+                if mode == MODE_INTERSECT:
+                    value = (pi & packed[j]).bit_count()
+                else:
+                    value = (pi ^ packed[j]).bit_count()
+            elif mode == MODE_INTERSECT:
+                value = sum(1 for a, b in zip(vi, vectors[j]) if a and b)
+            else:
+                value = sum(1 for a, b in zip(vi, vectors[j]) if a != b)
+            if mode == MODE_DIST_EQ or mode == MODE_INTERSECT:
+                ok = value == m1
+            elif mode == MODE_DIST_MOD:
+                ok = value % m2 == m1
+            else:
+                ok = (allowed_mask >> value) & 1
+            if ok:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
 
-if os.environ.get("BASISBOUND_PURE", "") in ("", "0"):
-    try:
-        from . import _speedups as _impl  # type: ignore[no-redef]
 
-        BACKEND = "compiled"
-    except ImportError:
-        pass
+def _colour_classes(nonadj, cand):
+    """Greedy colouring of `cand`: a list of pairwise disjoint independent
+    sets covering it, each grown from its lowest uncoloured vertex, so every
+    class is a singleton exactly when `cand` is a clique.  `nonadj[v]` is
+    the complement of v's closed neighbourhood."""
+    classes = []
+    while cand:
+        free = cand
+        members = 0
+        while free:
+            low = free & -free
+            members |= low
+            free &= nonadj[low.bit_length() - 1]
+        classes.append(members)
+        cand ^= members
+    return classes
 
-adjacency = _impl.adjacency
-extend_max = _impl.extend_max
-first_clique_of_size = _impl.first_clique_of_size
+
+def extend_max(adj, count, prefix, target):
+    """Largest clique containing the clique `prefix`.
+
+    Returns (best_size, witness, nodes): the witness is one clique of
+    best_size vertices (None only when `count` is 0), and nodes counts the
+    search nodes entered.  A positive `target` stops the search as soon as a
+    clique of at least that size is found.  The witness is not canonical:
+    branching follows the colour classes, highest first, and a candidate set
+    that is already a clique is taken whole.
+    """
+    if count == 0:
+        return 0, None, 0
+    cand = (1 << count) - 1
+    for v in prefix:
+        cand &= adj[v]
+    nonadj = [~row ^ (1 << v) for v, row in enumerate(adj)]
+    base = len(prefix)
+    clique = list(prefix)
+    best, witness, nodes = 0, None, 0
+    # One frame per open node: [candidates not yet branched on, colour
+    # classes not yet exhausted]; a node's bound is its size plus the number
+    # of classes left.
+    stack = []
+    while True:
+        nodes += 1
+        size = len(clique)
+        if size + cand.bit_count() > best:
+            classes = _colour_classes(nonadj, cand)
+            if len(classes) == cand.bit_count():
+                best = size + len(classes)
+                witness = tuple(clique) + tuple(v for v in range(count) if (cand >> v) & 1)
+                if target and best >= target:
+                    break
+            elif size + len(classes) > best:
+                stack.append([cand, classes])
+        cand = None
+        while stack:
+            frame = stack[-1]
+            size = base + len(stack) - 1
+            del clique[size:]
+            classes = frame[1]
+            if size + len(classes) <= best:
+                stack.pop()
+                continue
+            top = classes[-1]
+            low = top & -top
+            if top == low:
+                classes.pop()
+            else:
+                classes[-1] = top ^ low
+            frame[0] ^= low
+            v = low.bit_length() - 1
+            clique.append(v)
+            cand = frame[0] & adj[v]
+            break
+        if cand is None:
+            break
+    return best, witness, nodes
+
+
+def first_clique_of_size(adj, count, size):
+    """Lexicographically least clique of exactly `size` vertices, or None.
+
+    Depth-first in increasing index order, pruning a node only when its
+    colour bound shows it cannot reach `size`, so the first clique found is
+    the least one.
+    """
+    if size <= 0:
+        return ()
+    if count == 0:
+        return None
+    nonadj = [~row ^ (1 << v) for v, row in enumerate(adj)]
+    clique = []
+    stack = []  # per open node: its candidates not yet branched on
+    cand = (1 << count) - 1
+    while True:
+        need = size - len(clique)
+        if cand.bit_count() >= need:
+            colours = len(_colour_classes(nonadj, cand)) if need > 1 else 0
+            if need <= 1 or colours == cand.bit_count():
+                # Every remaining candidate completes the clique: the least
+                # completion takes the lowest ones.
+                return tuple(clique + [v for v in range(count) if (cand >> v) & 1][:need])
+            if colours >= need:
+                stack.append(cand)
+        cand = None
+        while stack:
+            depth = len(stack) - 1
+            del clique[depth:]
+            rest = stack[-1]
+            if depth + rest.bit_count() < size:
+                stack.pop()
+                continue
+            low = rest & -rest
+            stack[-1] = rest ^ low
+            v = low.bit_length() - 1
+            clique.append(v)
+            cand = stack[-1] & adj[v]
+            break
+        if cand is None:
+            return None

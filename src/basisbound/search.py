@@ -3,18 +3,19 @@ or intersection predicates: the brute-force oracle that validates every
 bound at desk scale and produces extremal witnesses for the certifiers.
 
 The search is a maximum-clique computation on the pairwise compatibility
-graph of [0,q-1]^n, explored depth-first in lexicographic vector order so
-the reported witness is deterministic (the lexicographically least maximum
-family).  With jobs > 1 the root is partitioned on the first two chosen
-vectors and the witness is fixed afterwards by a lexicographic pass, so the
-result does not depend on scheduling.
+graph of [0,q-1]^n.  Hamming distance is invariant under translation of
+Z_q^n, so for the distance predicates every clique translates to one of the
+same size through the zero vector, and the maximum is searched only among
+cliques containing it; the intersection predicate is searched unrooted.  The
+kernel bounds each node by a greedy colouring of its candidate set.  A
+second, lexicographic pass then fixes the reported witness: the
+lexicographically least clique of the proven maximum size, or of the target
+size when `target_size` stopped the search early.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -33,6 +34,7 @@ PRED_DIST_CONST = "distance-constant"
 PRED_INTERSECT_CONST = "intersection-constant"
 
 _PREDICATES = (PRED_DIST_SET, PRED_DIST_MOD, PRED_DIST_CONST, PRED_INTERSECT_CONST)
+_TRANSLATION_INVARIANT = (PRED_DIST_SET, PRED_DIST_MOD, PRED_DIST_CONST)
 
 
 @dataclass(frozen=True)
@@ -121,7 +123,6 @@ def enumerate_space(n: int, q: int) -> list[bytes]:
 
 def search_max(
     problem: SearchProblem,
-    jobs: int = 1,
     max_space: int | None = None,
     _order=None,
 ) -> SearchResult:
@@ -140,66 +141,23 @@ def search_max(
     count = len(vectors)
     target = problem.target_size or 0
 
-    if jobs <= 1:
-        size, witness, nodes = kernel.extend_max(adj, count, (), 0, target)
-        if witness is None:
-            size, witness = 1, (0,)
-    else:
-        size, witness, nodes = _parallel_search(adj, count, jobs, target)
-
+    root = ()
+    if problem.predicate in _TRANSLATION_INVARIANT:
+        root = (vectors.index(bytes(problem.n)),)
+    size, _, nodes = kernel.extend_max(adj, count, root, target)
     early = bool(target) and size >= target
-    chosen = tuple(sorted(witness))
+    if early:
+        # Report the target size itself, witnessed by the least clique of
+        # that size; a negative target is met by any single vector.
+        size = max(target, 1)
+    witness = kernel.first_clique_of_size(adj, count, size)
     system = VectorSystem.from_lists(
-        problem.n, problem.q, [tuple(vectors[i]) for i in chosen]
+        problem.n, problem.q, [tuple(vectors[i]) for i in sorted(witness)]
     )
     return SearchResult(size, system, nodes, not early)
 
 
-def _parallel_search(adj, count, jobs, target):
-    """Partition on the first two chosen vectors; merge deterministically.
-
-    Tasks share a monotonically improving best size (atomic under a lock)
-    used only as a lower bound for pruning; the witness is resolved
-    afterwards by a lexicographic pass so scheduling cannot change it.
-    """
-    best_lock = threading.Lock()
-    shared = {"best": 1, "stop": False}
-    nodes_total = 0
-
-    roots = []
-    for i in range(count):
-        row = adj[i] >> (i + 1) << (i + 1)
-        while row:
-            low = row & -row
-            row ^= low
-            roots.append((i, low.bit_length() - 1))
-
-    def run_root(root):
-        with best_lock:
-            lower = shared["best"]
-            if shared["stop"]:
-                return 0, None, 0
-        size, witness, nodes = kernel.extend_max(adj, count, root, lower, target)
-        if witness is not None:
-            with best_lock:
-                if size > shared["best"]:
-                    shared["best"] = size
-                if target and size >= target:
-                    shared["stop"] = True
-        return size, witness, nodes
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for size, witness, nodes in pool.map(run_root, roots):
-            nodes_total += nodes
-
-    best = shared["best"]
-    witness = kernel.first_clique_of_size(adj, count, best)
-    if witness is None:
-        best, witness = 1, (0,)
-    return best, witness, nodes_total
-
-
-def sweep_bound_grid(n_max: int, q_max: int, p_max: int, jobs: int = 1) -> dict:
+def sweep_bound_grid(n_max: int, q_max: int, p_max: int) -> dict:
     """Empirical validation sweep.
 
     For every (n, q, p, lambda) grid point where the modular
@@ -221,9 +179,7 @@ def sweep_bound_grid(n_max: int, q_max: int, p_max: int, jobs: int = 1) -> dict:
                         row["status"] = f"excluded({verdict.failing_clauses()[0]})"
                         mod_rows.append(row)
                         continue
-                    result = search_max(
-                        SearchProblem(n, q, PRED_DIST_MOD, lam=lam, p=p), jobs=jobs
-                    )
+                    result = search_max(SearchProblem(n, q, PRED_DIST_MOD, lam=lam, p=p))
                     bound = verdict.bound
                     row.update(
                         status="ok",
@@ -242,7 +198,7 @@ def sweep_bound_grid(n_max: int, q_max: int, p_max: int, jobs: int = 1) -> dict:
             for s in (1, 2):
                 if s > n:
                     continue
-                exact = max_with_distance_count(n, q, s, jobs=jobs)
+                exact = max_with_distance_count(n, q, s)
                 bound = delsarte_bound(n, q, s)
                 ok = exact <= bound
                 if not ok:
@@ -257,13 +213,11 @@ def sweep_bound_grid(n_max: int, q_max: int, p_max: int, jobs: int = 1) -> dict:
     }
 
 
-def max_with_distance_count(n: int, q: int, s: int, jobs: int = 1) -> int:
+def max_with_distance_count(n: int, q: int, s: int) -> int:
     """Exact maximum size of a system with at most s distinct pairwise
     distances: the maximum over all distance sets L of size s."""
     best = 0
     for allowed in combinations(range(1, n + 1), min(s, n)):
-        result = search_max(
-            SearchProblem(n, q, PRED_DIST_SET, allowed=allowed), jobs=jobs
-        )
+        result = search_max(SearchProblem(n, q, PRED_DIST_SET, allowed=allowed))
         best = max(best, result.max_size)
     return best

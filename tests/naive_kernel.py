@@ -1,11 +1,10 @@
-"""Pure-Python search kernel: pairwise compatibility masks and the
-lexicographic branch-and-bound clique search.
+"""Reference search kernel for the differential tests: pairwise adjacency
+and the plain recursive branch-and-bound with the size cutoff, exploring in
+increasing index order so the first maximum clique found is the
+lexicographically least one.  Slow and simple on purpose; only small graphs
+are given to it."""
 
-Semantics match basisbound._speedups exactly; this module is the fallback
-selected at import time when the compiled extension is unavailable.
-"""
-
-from __future__ import annotations
+from itertools import product
 
 MODE_DIST_EQ = 0
 MODE_DIST_MOD = 1
@@ -14,28 +13,14 @@ MODE_INTERSECT = 3
 
 
 def adjacency(vectors, n, mode, m1, m2, allowed_mask):
-    """Compatibility bitmask per vector: bit j of row i is set when the
-    predicate holds for the pair (i, j).  `vectors` is a list of length-n
-    byte strings; `allowed_mask` encodes a distance set for MODE_DIST_SET.
-    """
     count = len(vectors)
-    binary = all(max(v, default=0) <= 1 for v in vectors)
-    if binary:
-        packed = [int.from_bytes(v, "little") for v in vectors]
     rows = [0] * count
     for i in range(count):
-        vi = vectors[i]
-        pi = packed[i] if binary else None
         for j in range(i + 1, count):
-            if binary:
-                if mode == MODE_INTERSECT:
-                    value = (pi & packed[j]).bit_count()
-                else:
-                    value = (pi ^ packed[j]).bit_count()
-            elif mode == MODE_INTERSECT:
-                value = sum(1 for a, b in zip(vi, vectors[j]) if a and b)
+            if mode == MODE_INTERSECT:
+                value = sum(1 for a, b in zip(vectors[i], vectors[j]) if a and b)
             else:
-                value = sum(1 for a, b in zip(vi, vectors[j]) if a != b)
+                value = sum(1 for a, b in zip(vectors[i], vectors[j]) if a != b)
             if mode == MODE_DIST_EQ or mode == MODE_INTERSECT:
                 ok = value == m1
             elif mode == MODE_DIST_MOD:
@@ -49,14 +34,8 @@ def adjacency(vectors, n, mode, m1, m2, allowed_mask):
 
 
 def extend_max(adj, count, prefix, lower, target):
-    """Best clique extending `prefix` using only indices above its maximum.
-
-    Exploration is depth-first in increasing index order with the standard
-    cutoff size + |candidates| <= best, so with lower=0 and empty prefix the
-    returned witness is the lexicographically least maximum clique.  Returns
-    (best_size, witness or None, nodes); the witness is None when nothing
-    beat `lower`.  A positive `target` aborts the search once reached.
-    """
+    """Best clique extending `prefix` with indices above its maximum:
+    (best_size, witness or None, nodes)."""
     if count == 0:
         return lower, None, 0
     full = (1 << count) - 1
@@ -92,11 +71,7 @@ def extend_max(adj, count, prefix, lower, target):
 
 
 def first_clique_of_size(adj, count, size):
-    """Lexicographically least clique of exactly `size` vertices, or None.
-
-    Depth-first in increasing index order with the strict cutoff
-    current + |candidates| < size, stopping at the first hit.
-    """
+    """Lexicographically least clique of exactly `size` vertices, or None."""
     if size <= 0:
         return ()
     if count == 0:
@@ -123,3 +98,15 @@ def first_clique_of_size(adj, count, size):
     if visit((1 << count) - 1):
         return tuple(found)
     return None
+
+
+def search(problem):
+    """(max_size, witness vectors, exhaustive) as the search reports them:
+    the lexicographically least maximum family, or with a target size the
+    first family of that size."""
+    vectors = [bytes(v) for v in product(range(problem.q), repeat=problem.n)]
+    adj = adjacency(vectors, problem.n, *problem.kernel_args())
+    target = problem.target_size or 0
+    size, witness, _ = extend_max(adj, len(vectors), (), 0, target)
+    early = bool(target) and size >= target
+    return size, tuple(tuple(vectors[i]) for i in sorted(witness)), not early

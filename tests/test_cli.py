@@ -2,6 +2,7 @@
 trips and fault injection."""
 
 import json
+from itertools import product
 
 from basisbound.cli import main
 
@@ -183,7 +184,6 @@ def test_search_report(capsys):
     payload = report["payload"]
     assert payload["max_size"] == 4
     assert payload["witness"]["vectors"][0] == [0, 0, 0, 0]
-    assert payload["kernel_backend"] in ("pure", "compiled")
 
 
 def test_search_dist_set_flag(capsys):
@@ -194,17 +194,17 @@ def test_search_dist_set_flag(capsys):
     assert report["payload"]["max_size"] == 4
 
 
-def test_search_jobs_flag_matches_serial(capsys):
-    serial = run_cli(
-        capsys, "search", "--n", "4", "--q", "2", "--pred", "dist-mod",
-        "--lambda", "2", "--p", "3",
-    )[1]
-    parallel = run_cli(
-        capsys, "search", "--n", "4", "--q", "2", "--pred", "dist-mod",
-        "--lambda", "2", "--p", "3", "--jobs", "3",
-    )[1]
-    assert parallel["payload"]["max_size"] == serial["payload"]["max_size"]
-    assert parallel["payload"]["witness"] == serial["payload"]["witness"]
+def test_search_whole_space_clique(capsys):
+    """Every distance allowed: the maximum family is the whole space, a
+    clique deeper than the interpreter's recursion limit."""
+    code, report, _ = run_cli(
+        capsys, "search", "--n", "10", "--q", "2", "--pred", "dist-set",
+        "--dist-list", ",".join(str(d) for d in range(1, 11)),
+    )
+    assert code == 0
+    payload = report["payload"]
+    assert payload["max_size"] == 1024
+    assert payload["witness"]["vectors"] == [list(v) for v in product(range(2), repeat=10)]
 
 
 def test_search_guard_exit(capsys, monkeypatch):
@@ -229,6 +229,9 @@ def test_usage_errors_exit_3(capsys):
     assert main(["unknown-subcommand"]) == 3
     capsys.readouterr()
     assert main(["certify", "ryser", "--family", "/nonexistent.json", "--lambda", "1"]) == 3
+    capsys.readouterr()
+    assert main(["search", "--n", "3", "--q", "2", "--pred", "dist-const", "--lambda", "2",
+                 "--jobs", "2"]) == 3
     capsys.readouterr()
 
 

@@ -16,6 +16,7 @@ from basisbound.exactfield import (
     determinant,
     inertia_psd_rank,
     invert,
+    is_square_int,
     rank,
     solve_linear,
 )
@@ -102,6 +103,13 @@ def test_quadratic_radicand_must_be_squarefree():
         QuadExt(Fraction(1), Fraction(1), 12)
     with pytest.raises(MalformedInputError):
         QuadExtField(9)
+
+
+def test_is_square_int_beyond_float_range():
+    assert is_square_int(10**400)
+    assert not is_square_int(10**400 + 1)
+    assert not is_square_int(-4)
+    assert [m for m in range(50) if is_square_int(m)] == [0, 1, 4, 9, 16, 25, 36, 49]
 
 
 rationals = st.fractions(

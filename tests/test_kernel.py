@@ -1,29 +1,24 @@
-"""Backend selection and pure/compiled kernel equivalence."""
+"""Search kernel against the naive reference kernel in tests/naive_kernel.py:
+adjacency, the colour-bounded maximum search (rooted and unrooted), the
+lexicographic witness pass, and whole searches on every predicate over the
+small spaces, with and without a target size."""
 
 import random
-from itertools import product
+from dataclasses import replace
+from itertools import combinations, product
 
+import naive_kernel
 import pytest
 
-from basisbound import _kernel_py, kernel
-
-try:
-    from basisbound import _speedups
-except ImportError:
-    _speedups = None
-
-needs_compiled = pytest.mark.skipif(
-    _speedups is None, reason="compiled kernel not built"
+from basisbound import kernel
+from basisbound.search import (
+    PRED_DIST_CONST,
+    PRED_DIST_MOD,
+    PRED_DIST_SET,
+    PRED_INTERSECT_CONST,
+    SearchProblem,
+    search_max,
 )
-
-
-def test_backend_reported():
-    import os
-
-    assert kernel.BACKEND in ("pure", "compiled")
-    forced_pure = os.environ.get("BASISBOUND_PURE", "") not in ("", "0")
-    if _speedups is not None and not forced_pure:
-        assert kernel.BACKEND == "compiled"
 
 
 def random_graph(rng, count, density):
@@ -36,87 +31,164 @@ def random_graph(rng, count, density):
     return adj
 
 
-@needs_compiled
-def test_extend_max_equivalence_on_random_graphs():
-    rng = random.Random(424242)
-    for _ in range(120):
-        count = rng.randint(0, 60)
-        adj = random_graph(rng, count, rng.uniform(0, 0.5))
-        lower = rng.randint(0, 3)
-        target = rng.choice([0, 0, rng.randint(1, 6)])
-        assert _kernel_py.extend_max(adj, count, (), lower, target) == \
-            _speedups.extend_max(adj, count, (), lower, target)
+def relabel(adj, perm):
+    """The graph with vertex i renamed perm[i]."""
+    count = len(adj)
+    out = [0] * count
+    for i in range(count):
+        for j in range(count):
+            if (adj[i] >> j) & 1:
+                out[perm[i]] |= 1 << perm[j]
+    return out
 
 
-@needs_compiled
-def test_extend_max_equivalence_with_prefix():
-    rng = random.Random(7)
-    for _ in range(60):
-        count = rng.randint(2, 50)
-        adj = random_graph(rng, count, 0.4)
-        if not adj[0]:
-            continue
-        j = (adj[0] & -adj[0]).bit_length() - 1
-        assert _kernel_py.extend_max(adj, count, (0, j), 0, 0) == \
-            _speedups.extend_max(adj, count, (0, j), 0, 0)
+def is_clique(adj, vertices):
+    return len(set(vertices)) == len(vertices) and all(
+        (adj[a] >> b) & 1 for a, b in combinations(vertices, 2)
+    )
 
 
-@needs_compiled
-def test_first_clique_equivalence():
-    rng = random.Random(11)
-    for _ in range(60):
-        count = rng.randint(1, 50)
-        adj = random_graph(rng, count, 0.4)
-        size = _kernel_py.extend_max(adj, count, (), 0, 0)[0]
-        assert _kernel_py.first_clique_of_size(adj, count, size) == \
-            _speedups.first_clique_of_size(adj, count, size)
-        assert _speedups.first_clique_of_size(adj, count, count + 1) is None
-
-
-@needs_compiled
-def test_complete_graphs_beyond_word_sizes():
-    """Counts straddling the 32- and 64-bit boundaries."""
-    for count in (31, 32, 33, 63, 64, 65, 100):
-        adj = [((1 << count) - 1) ^ (1 << i) for i in range(count)]
-        expected = (count, tuple(range(count)))
-        for impl in (_kernel_py, _speedups):
-            size, witness, _ = impl.extend_max(adj, count, (), 0, 0)
-            assert (size, witness) == expected
-
-
-@needs_compiled
-@pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 2)])
-def test_adjacency_equivalence(q, n):
-    vectors = [bytes(v) for v in product(range(q), repeat=n)]
-    cases = [
-        (kernel.MODE_DIST_EQ, 2, 0, 0),
-        (kernel.MODE_DIST_MOD, 1, 3, 0),
-        (kernel.MODE_DIST_SET, 0, 0, 0b0110),
-    ]
-    if q == 2:
-        cases.append((kernel.MODE_INTERSECT, 1, 0, 0))
-    for mode, m1, m2, mask in cases:
-        assert _kernel_py.adjacency(vectors, n, mode, m1, m2, mask) == \
-            _speedups.adjacency(vectors, n, mode, m1, m2, mask)
+def random_graphs(seed, trials, max_count=40):
+    rng = random.Random(seed)
+    for _ in range(trials):
+        count = rng.randint(0, max_count)
+        yield rng, count, random_graph(rng, count, rng.uniform(0.0, 0.8))
 
 
 def test_pure_kernel_empty_and_trivial():
-    assert _kernel_py.extend_max([], 0, (), 0, 0) == (0, None, 0)
-    assert _kernel_py.extend_max([0], 1, (), 0, 0) == (1, (0,), 2)
-    assert _kernel_py.first_clique_of_size([0], 1, 1) == (0,)
-    assert _kernel_py.first_clique_of_size([0], 1, 2) is None
-    assert _kernel_py.first_clique_of_size([], 0, 0) == ()
+    assert kernel.extend_max([], 0, (), 0) == (0, None, 0)
+    assert kernel.extend_max([0], 1, (), 0)[:2] == (1, (0,))
+    assert kernel.extend_max([0], 1, (0,), 0)[:2] == (1, (0,))
+    assert kernel.first_clique_of_size([0], 1, 1) == (0,)
+    assert kernel.first_clique_of_size([0], 1, 2) is None
+    assert kernel.first_clique_of_size([], 0, 0) == ()
 
 
-def test_pure_env_override(monkeypatch):
-    import importlib
+def test_extend_max_matches_reference_on_random_graphs():
+    for _, count, adj in random_graphs(424242, 150):
+        want = naive_kernel.extend_max(adj, count, (), 0, 0)[0]
+        size, witness, nodes = kernel.extend_max(adj, count, (), 0)
+        assert size == want
+        if count:
+            assert len(witness) == size and is_clique(adj, witness) and nodes >= 1
 
-    monkeypatch.setenv("BASISBOUND_PURE", "1")
-    import basisbound.kernel as kernel_module
 
-    reloaded = importlib.reload(kernel_module)
-    try:
-        assert reloaded.BACKEND == "pure"
-    finally:
-        monkeypatch.delenv("BASISBOUND_PURE")
-        importlib.reload(kernel_module)
+def test_rooted_extend_max_matches_reference():
+    """Rooted at r, the maximum is that of the cliques through r: the
+    reference computes it rooted at 0 after swapping r and 0."""
+    for rng, count, adj in random_graphs(7, 120):
+        if count == 0:
+            continue
+        r = rng.randrange(count)
+        perm = list(range(count))
+        perm[0], perm[r] = r, 0
+        want = naive_kernel.extend_max(relabel(adj, perm), count, (0,), 0, 0)[0]
+        size, witness, _ = kernel.extend_max(adj, count, (r,), 0)
+        assert size == want
+        assert witness[0] == r and len(witness) == size and is_clique(adj, witness)
+
+
+def test_extend_max_target_stops_at_a_large_enough_clique():
+    for rng, count, adj in random_graphs(99, 80):
+        if count == 0:
+            continue
+        best = naive_kernel.extend_max(adj, count, (), 0, 0)[0]
+        target = rng.randint(1, best + 1)
+        size, witness, _ = kernel.extend_max(adj, count, (), target)
+        assert size >= target if target <= best else size == best
+        assert size <= best and len(witness) == size and is_clique(adj, witness)
+
+
+def test_first_clique_matches_reference():
+    for _, count, adj in random_graphs(11, 80):
+        best = naive_kernel.extend_max(adj, count, (), 0, 0)[0]
+        for size in range(0, best + 2):
+            assert kernel.first_clique_of_size(adj, count, size) == \
+                naive_kernel.first_clique_of_size(adj, count, size)
+
+
+def test_complete_graphs_beyond_word_sizes():
+    """Counts straddling the 32- and 64-bit boundaries, up to a clique deeper
+    than the interpreter's recursion limit."""
+    for count in (31, 32, 33, 63, 64, 65, 100, 1500):
+        adj = [((1 << count) - 1) ^ (1 << i) for i in range(count)]
+        expected = tuple(range(count))
+        assert kernel.extend_max(adj, count, (), 0)[:2] == (count, expected)
+        assert kernel.first_clique_of_size(adj, count, count) == expected
+
+
+def test_nearly_complete_graph_has_no_recursion_limit():
+    count = 1200
+    full = (1 << count) - 1
+    adj = [full ^ (1 << i) for i in range(count)]
+    adj[0] ^= 1 << 1
+    adj[1] ^= 1
+    assert kernel.extend_max(adj, count, (), 0)[0] == count - 1
+    assert kernel.first_clique_of_size(adj, count, count - 1) == (0,) + tuple(range(2, count))
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 2), (2, 6)])
+def test_adjacency_matches_reference(q, n):
+    rng = random.Random(q * 100 + n)
+    vectors = [bytes(v) for v in product(range(q), repeat=n)]
+    cases = [(kernel.MODE_DIST_EQ, m, 0, 0) for m in range(n + 2)]
+    cases += [(kernel.MODE_INTERSECT, m, 0, 0) for m in range(n + 2)]
+    cases += [(kernel.MODE_DIST_MOD, m1, m2, 0) for m2 in (2, 3, 5) for m1 in range(m2)]
+    cases += [(kernel.MODE_DIST_SET, 0, 0, rng.getrandbits(n + 1) & ~1) for _ in range(4)]
+    shuffled = list(vectors)
+    rng.shuffle(shuffled)
+    for order in (vectors, shuffled):
+        for mode, m1, m2, mask in cases:
+            assert kernel.adjacency(order, n, mode, m1, m2, mask) == \
+                naive_kernel.adjacency(order, n, mode, m1, m2, mask)
+
+
+def problems(n, q):
+    for lam in range(1, n + 1):
+        yield SearchProblem(n, q, PRED_DIST_CONST, lam=lam)
+        if q == 2:
+            yield SearchProblem(n, q, PRED_INTERSECT_CONST, lam=lam)
+    for p in (2, 3, 5):
+        for lam in range(1, p + 1):
+            yield SearchProblem(n, q, PRED_DIST_MOD, lam=lam, p=p)
+    for allowed in combinations(range(1, n + 1), 2):
+        yield SearchProblem(n, q, PRED_DIST_SET, allowed=allowed)
+    yield SearchProblem(n, q, PRED_DIST_SET, allowed=tuple(range(1, n + 1)))
+
+
+@pytest.mark.parametrize("q,n", [(2, n) for n in range(1, 8)] + [(3, n) for n in range(1, 5)])
+def test_search_matches_reference_search(q, n):
+    """Same maximum and same witness as the naive search on every predicate,
+    and the same early answer under each target size."""
+    for problem in problems(n, q):
+        want = naive_kernel.search(problem)
+        result = search_max(problem)
+        assert (result.max_size, result.witness.vectors, result.exhaustive) == want, problem
+        targets = {1, 2, want[0] - 1, want[0]} - {0}
+        if q**n <= 81:
+            # An unreachable target repeats the full reference search; the
+            # smaller spaces cover that case at a fraction of the cost.
+            targets.add(want[0] + 1)
+        for target in targets:
+            bounded = replace(problem, target_size=target)
+            result = search_max(bounded)
+            got = (result.max_size, result.witness.vectors, result.exhaustive)
+            assert got == naive_kernel.search(bounded), bounded
+
+
+def test_order_hook_roots_at_the_zero_vector():
+    """Under a permuted enumeration the rooted predicates root at wherever
+    the zero vector landed, and the maximum is unchanged."""
+    rng = random.Random(5)
+    for problem in (
+        SearchProblem(4, 2, PRED_DIST_CONST, lam=2),
+        SearchProblem(5, 2, PRED_DIST_SET, allowed=(1, 2)),
+        SearchProblem(3, 3, PRED_DIST_MOD, lam=1, p=2),
+        SearchProblem(5, 2, PRED_INTERSECT_CONST, lam=1),
+    ):
+        baseline = naive_kernel.search(problem)[0]
+        order = list(range(problem.q**problem.n))
+        for _ in range(4):
+            rng.shuffle(order)
+            result = search_max(problem, _order=list(order))
+            assert result.max_size == baseline

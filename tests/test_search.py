@@ -107,19 +107,6 @@ def test_order_permutation_hook_preserves_max_size():
         assert search_max(problem, _order=list(order)).max_size == baseline
 
 
-@pytest.mark.parametrize("jobs", [2, 4])
-def test_parallel_matches_serial(jobs):
-    for problem in (
-        SearchProblem(4, 2, PRED_DIST_MOD, lam=2, p=3),
-        SearchProblem(3, 3, PRED_DIST_CONST, lam=2),
-        SearchProblem(4, 2, PRED_DIST_SET, allowed=(2, 4)),
-    ):
-        serial = search_max(problem, jobs=1)
-        parallel = search_max(problem, jobs=jobs)
-        assert parallel.max_size == serial.max_size
-        assert parallel.witness == serial.witness
-
-
 def test_target_size_early_exit():
     problem = SearchProblem(4, 2, PRED_DIST_MOD, lam=2, p=3, target_size=2)
     result = search_max(problem)

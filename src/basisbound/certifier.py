@@ -11,6 +11,7 @@ coordinate-level checks of two-distance sets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
@@ -786,25 +787,27 @@ def ryser_decompose(family: SetFamily, lam: int) -> Certificate:
             "input cannot satisfy the stated hypotheses"
         ) from exc
 
-    lam_f = Fraction(lam)
-    kappa = [lam_f * sum(theta.entries[i]) for i in range(n)]
     point_degrees = degrees(family)
+    members = [[t for t in range(n) if m >> t & 1] for m in masks]
 
     identities = []
-    # Coefficient-level re-substitution: the linear part of
-    # sum_j theta_{i,j} (<x, v_j> - lambda) + kappa_i must be exactly x_i
-    # and the constant part must vanish.
+    # Coefficient-level re-substitution, in integers over the incidences:
+    # with row i of theta cleared to integers c_j by its common denominator
+    # D, the linear part of sum_j c_j (<x, v_j> - lambda) must be exactly
+    # D x_i.  The constant part vanishes by the choice of kappa_i.
+    kappa = []
     mismatches = 0
-    for i in range(n):
-        for t in range(n):
-            acc = sum(
-                theta.entries[i][j] * (masks[j] >> t & 1) for j in range(n)
-            )
-            if acc != (1 if t == i else 0):
-                mismatches += 1
-        const = kappa[i] - lam_f * sum(theta.entries[i])
-        if const != 0:
-            mismatches += 1
+    for i, row in enumerate(theta.entries):
+        denom = math.lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (denom // x.denominator) for x in row]
+        kappa.append(Fraction(lam * sum(ints), denom))
+        linear = [0] * n
+        for j, c in enumerate(ints):
+            if c:
+                for t in members[j]:
+                    linear[t] += c
+        linear[i] -= denom
+        mismatches += sum(1 for v in linear if v)
     identities.append(
         Identity("monomial_resubstitution_mismatches", str(mismatches), "0", mismatches == 0)
     )

@@ -364,6 +364,10 @@ def dispatch(args) -> tuple[str, dict, list, dict]:
     return _run_verify(args)
 
 
+def _error_payload(exc) -> dict:
+    return {"error": str(exc), "kind": type(exc).__name__}
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -372,24 +376,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         outcome, payload, inputs, document = dispatch(args)
         error_message = None
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 3
     except HypothesisViolationError as exc:
         outcome = "hypothesis-violation"
         payload = {"error": str(exc), "clause": exc.clause}
         inputs = argv
-        document = payload
         error_message = str(exc)
-    except BasisBoundError as exc:
+    except (UsageError, BasisBoundError, ValueError, OSError) as exc:
         outcome = "error"
-        payload = {"error": str(exc), "kind": type(exc).__name__}
+        payload = _error_payload(exc)
         inputs = argv
-        document = payload
         error_message = str(exc)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
     report = {
         "command": argv,
@@ -405,8 +401,9 @@ def main(argv=None) -> int:
                 json.dump(document, fh, indent=2)
                 fh.write("\n")
         except OSError as exc:
-            print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
-            return 3
+            outcome = "error"
+            report.update(outcome=outcome, payload=_error_payload(exc))
+            error_message = f"cannot write {out_path}: {exc}"
     json.dump(report, sys.stdout, indent=2)
     sys.stdout.write("\n")
     if error_message is not None:

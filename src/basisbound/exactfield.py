@@ -1,11 +1,18 @@
 """Exact scalar arithmetic over Q, prime fields F_p and real quadratic
-extensions Q(sqrt(d)), plus the generic exact matrix routines used by the
+extensions Q(sqrt(d)), plus the exact matrix routines used by the
 certifiers.
 
 No floating point ever enters a computation here: rationals are
 `fractions.Fraction`, prime-field elements are residues, and quadratic
 elements carry two Fraction parts.  Signs of quadratic elements are decided
 by exact comparison of squares.
+
+rank, determinant, solve_linear and invert share one Gauss-Jordan engine,
+`_eliminate`.  Over Q it runs fraction-free on integers (Bareiss 1968),
+after each row is cleared of denominators by their lcm; over F_p it runs on
+residues mod p, scaling each pivot to one.  Only Q(sqrt(d)), whose matrices
+here are at most 27x27, takes the engine's generic path through the field
+operations; the pivoted LDL^T of inertia_psd_rank is separate.
 """
 
 from __future__ import annotations
@@ -165,6 +172,9 @@ class QuadExt:
 
     def is_zero(self) -> bool:
         return self.rat == 0 and self.surd == 0
+
+    def __bool__(self):
+        return not self.is_zero()
 
     def sign(self) -> int:
         """Exact sign via case analysis on the signs of the two parts."""
@@ -437,14 +447,6 @@ class QuadExtField:
         return f"QQ(sqrt({self.d}))"
 
 
-def parse_scalar(s: str, field):
-    return field.parse(s)
-
-
-def format_scalar(x, field) -> str:
-    return field.format(x)
-
-
 class ExactMatrix:
     """Rectangular matrix with entries from one common exact field."""
 
@@ -509,152 +511,107 @@ class ExactMatrix:
         return f"ExactMatrix({self.field!r}, {self.nrows}x{self.ncols})"
 
 
-def _rational_int_rows(m: ExactMatrix):
-    """Clear denominators row by row; row scaling preserves rank and
-    multiplies the determinant by a known factor."""
-    int_rows = []
-    scale = Fraction(1)
-    for r in m.entries:
-        lcm = 1
-        for x in r:
-            lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
-        scale *= lcm
-        int_rows.append([int(x * lcm) for x in r])
-    return int_rows, scale
+def _eliminate(rows, width, field=None, jordan=False):
+    """Gauss-Jordan elimination of `rows` in place, pivoting on the first
+    `width` columns; the columns after them ride along.
 
+    With no `field` the rows are integers and the elimination is
+    fraction-free (Bareiss 1968): every other row becomes
+    (pivot * row - head * pivot_row) / prev, where head is the row's entry in
+    the pivot column and prev the previous pivot.  The division is exact,
+    because each entry is then a minor of the input.  Over F_p and Q(sqrt d)
+    the pivot row is scaled to a leading one instead and subtracted from
+    every row with a nonzero head, reducing mod p over F_p.  Rows below the
+    pivot are cleared, and with `jordan` the rows above it too; columns left
+    of the pivot are not updated again.
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _bareiss(int_rows, nrows, ncols):
-    """Fraction-free elimination; returns (rank, det_of_leading_square, swaps).
-
-    det is meaningful only when the matrix is square and has full rank;
-    otherwise the determinant is 0 by rank deficiency.
+    Returns (rank, det, divisor).  When the first `width` columns form a
+    square matrix of full rank, det is its determinant and, after a
+    Gauss-Jordan, the ridden-along columns of row i hold divisor times row i
+    of the solution.
     """
-    rows = [list(r) for r in int_rows]
-    prev = 1
-    rank = 0
-    sign = 1
-    for col in range(ncols):
+    nrows = len(rows)
+    modulus = getattr(field, "p", None)
+    rank, sign, prev, det = 0, 1, 1, 1
+    for col in range(width):
         if rank == nrows:
             break
-        pivot_row = None
-        for i in range(rank, nrows):
-            if rows[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+        found = next((i for i in range(rank, nrows) if rows[i][col]), None)
+        if found is None:
             continue
-        if pivot_row != rank:
-            rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        if found != rank:
+            rows[rank], rows[found] = rows[found], rows[rank]
             sign = -sign
         pivot = rows[rank][col]
-        for i in range(rank + 1, nrows):
-            head = rows[i][col]
-            for j in range(col + 1, ncols):
-                rows[i][j] = (pivot * rows[i][j] - head * rows[rank][j]) // prev
-            rows[i][col] = 0
+        if field is not None:
+            det = field.mul(det, pivot)
+            inverse = field.inv(pivot)
+            rows[rank][col:] = [field.mul(x, inverse) for x in rows[rank][col:]]
+        top = rows[rank][col:]
+        for i in range(0 if jordan else rank + 1, nrows):
+            row = rows[i]
+            head = row[col]
+            if i == rank or (field is not None and not head):
+                continue
+            if field is None:
+                row[col:] = [(pivot * a - head * b) // prev for a, b in zip(row[col:], top)]
+            elif modulus:
+                row[col:] = [(a - head * b) % modulus for a, b in zip(row[col:], top)]
+            else:
+                row[col:] = [a - head * b for a, b in zip(row[col:], top)]
         prev = pivot
         rank += 1
-    det = sign * prev if (nrows == ncols and rank == nrows) else 0
-    return rank, det
+    if field is None:
+        return rank, sign * prev, prev
+    return rank, field.mul(sign, det), 1
 
 
-def _generic_elimination(field, rows, nrows, ncols):
-    """Ordinary exact Gaussian elimination over an arbitrary field.
+def _reduce(m: ExactMatrix, rhs=None):
+    """Eliminate M, augmented on the right by the rows of `rhs`; with `rhs`
+    the elimination is Gauss-Jordan.  Over Q each row is first cleared of
+    denominators by the lcm of its denominators, so the integer engine
+    solves (DM) X = D rhs for a diagonal D, which has the same solution.
 
-    Returns (rank, det_sign_adjusted_pivot_product, echelon rows, pivot cols).
+    Returns (rank, det, solution): det is the determinant of a square M,
+    and solution the rows of X with M X = rhs when `rhs` is given and M is
+    nonsingular, else None.
     """
-    rows = [list(r) for r in rows]
-    rank = 0
-    det = field.one
-    pivots = []
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        pivot_row = None
-        for i in range(rank, nrows):
-            if not field.is_zero(rows[i][col]):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != rank:
-            rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-            det = field.neg(det)
-        pivot = rows[rank][col]
-        det = field.mul(det, pivot)
-        for i in range(rank + 1, nrows):
-            if field.is_zero(rows[i][col]):
-                continue
-            factor = field.div(rows[i][col], pivot)
-            for j in range(col, ncols):
-                rows[i][j] = field.sub(rows[i][j], field.mul(factor, rows[rank][j]))
-        pivots.append(col)
-        rank += 1
-    if not (nrows == ncols and rank == nrows):
-        det = field.zero
-    return rank, det, rows, pivots
+    field, width, jordan = m.field, m.ncols, rhs is not None
+    rows = [r + rhs[i] if jordan else list(r) for i, r in enumerate(m.entries)]
+    if field == QQ:
+        scales = [math.lcm(*(x.denominator for x in r)) for r in rows]
+        rows = [[x.numerator * (s // x.denominator) for x in r] for r, s in zip(rows, scales)]
+        rk, det, divisor = _eliminate(rows, width, jordan=jordan)
+        det = Fraction(det, math.prod(scales))
+    else:
+        rk, det, divisor = _eliminate(rows, width, field, jordan)
+    if rk < m.nrows or m.nrows != width:
+        return rk, field.zero, None
+    solution = [r[width:] for r in rows] if jordan else None
+    if jordan and field == QQ:
+        solution = [[Fraction(x, divisor) for x in r] for r in solution]
+    return rk, field.coerce(det), solution
 
 
 def rank(m: ExactMatrix) -> int:
-    """Exact rank by fraction-free (Q) or ordinary elimination."""
-    if m.nrows == 0 or m.ncols == 0:
-        return 0
-    if m.field == QQ:
-        int_rows, _ = _rational_int_rows(m)
-        r, _ = _bareiss(int_rows, m.nrows, m.ncols)
-        return r
-    r, _, _, _ = _generic_elimination(m.field, m.entries, m.nrows, m.ncols)
-    return r
+    """Exact rank."""
+    return _reduce(m)[0]
 
 
 def determinant(m: ExactMatrix):
     if not m.is_square():
         raise MalformedInputError("determinant of a non-square matrix")
-    if m.nrows == 0:
-        return m.field.one
-    if m.field == QQ:
-        int_rows, scale = _rational_int_rows(m)
-        _, det = _bareiss(int_rows, m.nrows, m.ncols)
-        return Fraction(det) / scale
-    _, det, _, _ = _generic_elimination(m.field, m.entries, m.nrows, m.ncols)
-    return det
+    return _reduce(m)[1]
 
 
-def _solve_echelon(field, rows, ncols_left, rhs_width):
-    """Back-substitute an echelon-form augmented system (full-rank square)."""
-    n = ncols_left
-    xs = [[field.zero] * rhs_width for _ in range(n)]
-    for i in range(n - 1, -1, -1):
-        for k in range(rhs_width):
-            acc = rows[i][n + k]
-            for j in range(i + 1, n):
-                acc = field.sub(acc, field.mul(rows[i][j], xs[j][k]))
-            xs[i][k] = field.div(acc, rows[i][i])
-    return xs
-
-
-def _solve_many(m: ExactMatrix, rhs_columns):
-    """Exact solution columns of M x = rhs for each rhs column."""
+def _solve(m: ExactMatrix, rhs_rows):
+    """Rows of the exact solution X of M X = rhs."""
     if not m.is_square():
         raise MalformedInputError("solve requires a square matrix")
-    field = m.field
-    n = m.nrows
-    width = len(rhs_columns)
-    aug = [
-        m.row(i) + [field.coerce(rhs_columns[k][i]) for k in range(width)]
-        for i in range(n)
-    ]
-    rk, _, rows, pivots = _generic_elimination(field, aug, n, n + width)
-    left_rank = sum(1 for c in pivots if c < n)
-    if left_rank < n:
-        raise SingularSystemError(f"matrix is singular (rank {left_rank})", left_rank)
-    return _solve_echelon(field, rows, n, width)
+    rk, _, solution = _reduce(m, rhs_rows)
+    if solution is None:
+        raise SingularSystemError(f"matrix is singular (rank {rk})", rk)
+    return solution
 
 
 def solve_linear(m: ExactMatrix, rhs):
@@ -665,8 +622,7 @@ def solve_linear(m: ExactMatrix, rhs):
         raise MalformedInputError("right-hand side length does not match matrix")
     field = m.field
     rhs = [field.coerce(x) for x in rhs]
-    xs = _solve_many(m, [rhs])
-    x = [row[0] for row in xs]
+    x = [row[0] for row in _solve(m, [[v] for v in rhs])]
     for i in range(m.nrows):
         acc = field.zero
         for j in range(m.ncols):
@@ -678,11 +634,9 @@ def solve_linear(m: ExactMatrix, rhs):
 
 def invert(m: ExactMatrix) -> ExactMatrix:
     """Exact inverse; raises SingularSystemError when M is singular."""
-    n = m.nrows
-    field = m.field
-    cols = [[field.one if i == k else field.zero for i in range(n)] for k in range(n)]
-    xs = _solve_many(m, cols)
-    return ExactMatrix(field, xs)
+    f, n = m.field, m.nrows
+    identity = [[f.one if i == k else f.zero for k in range(n)] for i in range(n)]
+    return ExactMatrix(f, _solve(m, identity))
 
 
 def inertia_psd_rank(g: ExactMatrix):
@@ -724,6 +678,5 @@ def inertia_psd_rank(g: ExactMatrix):
     )
     if residue_nonzero:
         block = [[a[i][j] for j in remaining] for i in remaining]
-        extra, _, _, _ = _generic_elimination(field, block, len(remaining), len(remaining))
-        return False, len(pivot_signs) + extra
+        return False, len(pivot_signs) + rank(ExactMatrix(field, block))
     return all(s > 0 for s in pivot_signs), len(pivot_signs)

@@ -54,6 +54,8 @@ class SearchProblem:
             raise MalformedInputError(f"alphabet size must be at least 2: {self.q}")
         if self.predicate not in _PREDICATES:
             raise MalformedInputError(f"unknown predicate {self.predicate!r}")
+        if self.target_size is not None and self.target_size < 1:
+            raise MalformedInputError(f"target size must be at least 1: {self.target_size}")
         if self.predicate == PRED_DIST_SET:
             if not self.allowed:
                 raise MalformedInputError("distance-set predicate needs a distance set")

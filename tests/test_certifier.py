@@ -449,3 +449,59 @@ def test_ryser_rejects_degenerate_and_bad_lambda():
         ryser_decompose(fano_plane(), 0)
     with pytest.raises(HypothesisViolationError):
         ryser_decompose(SetFamily.from_sets(2, [[1], [1]]), 1)  # size = lambda
+
+
+def _pg2_over_gf4() -> SetFamily:
+    """PG(2,4), which `projective_plane` does not build (prime orders only):
+    points and lines are the normalised nonzero triples over
+    GF(4) = F_2[w]/(w^2 + w + 1), incident when their dot product is 0."""
+
+    def mul(a, b):
+        prod = (a if b & 1 else 0) ^ (a << 1 if b & 2 else 0)
+        return prod ^ 0b111 if prod & 0b100 else prod
+
+    points = [v for v in product(range(4), repeat=3) if any(v) and next(x for x in v if x) == 1]
+    return SetFamily.from_sets(len(points), [
+        [k + 1 for k, pt in enumerate(points)
+         if mul(line[0], pt[0]) ^ mul(line[1], pt[1]) ^ mul(line[2], pt[2]) == 0]
+        for line in points
+    ])
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 7, 11, 13])
+def test_ryser_projective_planes_alternative_a(r):
+    plane = _pg2_over_gf4() if r == 4 else projective_plane(r)
+    assert plane.n == r * r + r + 1 and set(plane.sizes()) == {r + 1}
+    cert = ryser_decompose(plane, 1)
+    assert cert.passed
+    assert cert.details["alternative"] == "A"
+    assert set(cert.coefficients) == {f"1/{r + 1}"}
+    assert cert.details["r"] == str(r + 1)
+
+
+@pytest.mark.parametrize("m", [12, 20, 40])
+def test_ryser_near_pencil_gives_alternative_b(m):
+    cert = ryser_decompose(near_pencil(m), 1)
+    assert cert.passed
+    assert cert.details["alternative"] == "B"
+
+
+def test_ryser_resubstitution_catches_a_perturbed_expansion(monkeypatch):
+    """Move 1/7 between two entries of one row of theta: every kappa, and so
+    every identity read off the kappas, is unchanged, and only the integer
+    re-substitution theta A = I sees the fault."""
+    import basisbound.certifier as certifier
+
+    real_invert = certifier.invert
+
+    def perturbed_invert(m):
+        theta = real_invert(m)
+        theta.entries[2][5] += Fraction(1, 7)
+        theta.entries[2][6] -= Fraction(1, 7)
+        return theta
+
+    monkeypatch.setattr(certifier, "invert", perturbed_invert)
+    cert = ryser_decompose(projective_plane(3), 1)
+    assert cert.identity("monomial_resubstitution_mismatches").left != "0"
+    assert cert.verdict == "fail"
+    assert [i.name for i in cert.identities if not i.holds] == ["monomial_resubstitution_mismatches"]

@@ -4,6 +4,8 @@ trips and fault injection."""
 import json
 from itertools import product
 
+import pytest
+
 from basisbound.cli import main
 
 
@@ -224,15 +226,38 @@ def test_verify_filter(capsys):
 
 
 def test_usage_errors_exit_3(capsys):
-    assert main(["bound", "delsarte", "--n", "3", "--q", "2"]) == 3
-    capsys.readouterr()
-    assert main(["unknown-subcommand"]) == 3
-    capsys.readouterr()
-    assert main(["certify", "ryser", "--family", "/nonexistent.json", "--lambda", "1"]) == 3
-    capsys.readouterr()
-    assert main(["search", "--n", "3", "--q", "2", "--pred", "dist-const", "--lambda", "2",
-                 "--jobs", "2"]) == 3
-    capsys.readouterr()
+    """Usage and I/O errors exit 3 with a JSON error report on stdout."""
+    for argv in (
+        ["bound", "delsarte", "--n", "3", "--q", "2"],
+        ["unknown-subcommand"],
+        [],
+        ["search", "--n", "x", "--q", "2", "--pred", "dist-const", "--lambda", "2"],
+        ["certify", "ryser", "--family", "/nonexistent.json", "--lambda", "1"],
+        ["search", "--n", "3", "--q", "2", "--pred", "dist-const", "--lambda", "2", "--jobs", "2"],
+    ):
+        code, report, err = run_cli(capsys, *argv)
+        assert code == 3, argv
+        assert report["outcome"] == "error" and report["command"] == argv
+        assert report["payload"]["error"] and report["payload"]["kind"]
+        assert err.startswith("error: ")
+
+
+def test_unwritable_out_reports_error(tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "report.json"
+    code, report, _ = run_cli(capsys, "construct", "fano", "--out", str(out))
+    assert code == 3
+    assert report["outcome"] == "error" and report["payload"]["kind"] == "FileNotFoundError"
+
+
+@pytest.mark.parametrize("target", ["0", "-1"])
+def test_search_target_below_one_exit_3(capsys, target):
+    """A target size below 1 is rejected (it used to run and report max_size 1)."""
+    code, report, _ = run_cli(
+        capsys, "search", "--n", "3", "--q", "2", "--pred", "dist-const", "--lambda", "2",
+        "--target", target,
+    )
+    assert code == 3
+    assert report["outcome"] == "error" and report["payload"]["kind"] == "MalformedInputError"
 
 
 def test_malformed_json_exit_3(tmp_path, capsys):

@@ -57,6 +57,6 @@ from .families import (
     hamming_distance,
     intersection_profile,
 )
-from .search import SearchProblem, SearchResult, search_max, sweep_bound_grid
+from .search import SearchProblem, SearchResult, search_max
 
 __version__ = "0.1.0"

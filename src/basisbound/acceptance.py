@@ -5,7 +5,7 @@ tests/test_acceptance.py.  Each criterion returns (passed, detail)."""
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from .bounds import check_mod_distance_hypotheses, delsarte_bound
 from .certifier import (
@@ -28,13 +28,7 @@ from .constructions import (
 )
 from .exactfield import ExactMatrix, PrimeFieldCtx, inertia_psd_rank
 from .families import constant_vector_distance_sum, distance_set
-from .search import (
-    PRED_DIST_CONST,
-    PRED_DIST_MOD,
-    SearchProblem,
-    max_with_distance_count,
-    search_max,
-)
+from .search import PRED_DIST_CONST, PRED_DIST_MOD, PRED_DIST_SET, SearchProblem, search_max
 
 
 def hadamard_counterexample():
@@ -75,6 +69,16 @@ def mod_distance_bound_sweep():
     if not tight:
         return False, "no tight row found in the sweep"
     return True, f"{checked} grid points within bound; {len(tight)} tight, anchor max = 4"
+
+
+def max_with_distance_count(n: int, q: int, s: int) -> int:
+    """Exact maximum size of a system with at most s distinct pairwise
+    distances: the maximum over all distance sets L of size s."""
+    best = 0
+    for allowed in combinations(range(1, n + 1), min(s, n)):
+        result = search_max(SearchProblem(n, q, PRED_DIST_SET, allowed=allowed))
+        best = max(best, result.max_size)
+    return best
 
 
 def distance_count_bound_sweep():

@@ -198,6 +198,8 @@ def _load_matrix(doc) -> ExactMatrix:
         entries = doc["entries"]
     except (KeyError, TypeError) as exc:
         raise MalformedInputError(f"bad matrix document: {exc}") from exc
+    if not (isinstance(entries, list) and all(isinstance(row, list) for row in entries)):
+        raise MalformedInputError("matrix entries must be a list of rows")
     if kind == "rational":
         field = QQ
     elif kind == "prime":

@@ -3,6 +3,10 @@ maximum-clique search over them.
 
 A vertex set is a Python integer used as a bitmask (bit j is vertex j), and
 row i of the adjacency is the mask of the vertices compatible with vertex i.
+Rows are bit-sliced: the pair values (distance or intersection size) of
+vertex i against every vertex are summed coordinate by coordinate in
+vertical bit counters, one mask per binary digit, so a row costs about
+n log n big-integer operations instead of one Python step per pair.
 Both searches keep an explicit stack, so a clique as deep as the whole space
 costs no interpreter recursion, and both bound each node by a greedy
 colouring of its candidate set: a clique meets every colour class at most
@@ -17,38 +21,63 @@ MODE_DIST_SET = 2
 MODE_INTERSECT = 3
 
 
+def allowed_values(n, mode, m1, m2, allowed_mask):
+    """The pair values in [0, n] for which the predicate holds."""
+    if mode == MODE_DIST_MOD:
+        return [d for d in range(n + 1) if d % m2 == m1]
+    if mode == MODE_DIST_SET:
+        return [d for d in range(n + 1) if (allowed_mask >> d) & 1]
+    return [m1] if 0 <= m1 <= n else []
+
+
 def adjacency(vectors, n, mode, m1, m2, allowed_mask):
     """Compatibility bitmask per vector: bit j of row i is set when the
-    predicate holds for the pair (i, j).  `vectors` is a list of length-n
-    byte strings; `allowed_mask` encodes a distance set for MODE_DIST_SET.
+    predicate holds for the pair (i, j), i != j.  `vectors` is a list of
+    length-n byte strings; `allowed_mask` encodes a distance set for
+    MODE_DIST_SET.
+
+    Row i is computed for all j at once.  For each coordinate c, the mask of
+    the vertices that add one to the pair value with vertex i (their symbol
+    differs from vectors[i][c], or for intersections both symbols are
+    nonzero) is added into vertical bit counters: planes[k] holds bit k of
+    every vertex's running count.  The row is then the union of the
+    equality masks of the allowed values.
     """
     count = len(vectors)
-    binary = all(max(v, default=0) <= 1 for v in vectors)
-    if binary:
-        packed = [int.from_bytes(v, "little") for v in vectors]
-    rows = [0] * count
-    for i in range(count):
-        vi = vectors[i]
-        pi = packed[i] if binary else None
-        for j in range(i + 1, count):
-            if binary:
-                if mode == MODE_INTERSECT:
-                    value = (pi & packed[j]).bit_count()
-                else:
-                    value = (pi ^ packed[j]).bit_count()
-            elif mode == MODE_INTERSECT:
-                value = sum(1 for a, b in zip(vi, vectors[j]) if a and b)
+    full = (1 << count) - 1
+    q = max((max(v, default=0) for v in vectors), default=0) + 1
+    symbols = [[0] * q for _ in range(n)]
+    for j, v in enumerate(vectors):
+        bit = 1 << j
+        for c, s in enumerate(v):
+            symbols[c][s] |= bit
+    if mode == MODE_INTERSECT:
+        # Both entries nonzero: nothing is added where vertex i has a zero.
+        adds = [[0] + [full ^ col[0]] * (q - 1) for col in symbols]
+    else:
+        adds = [[full ^ mask for mask in col] for col in symbols]
+    values = allowed_values(n, mode, m1, m2, allowed_mask)
+    rows = []
+    for i, v in enumerate(vectors):
+        planes = []
+        for c, s in enumerate(v):
+            carry = adds[c][s]
+            for k, plane in enumerate(planes):
+                if not carry:
+                    break
+                planes[k] = plane ^ carry
+                carry &= plane
             else:
-                value = sum(1 for a, b in zip(vi, vectors[j]) if a != b)
-            if mode == MODE_DIST_EQ or mode == MODE_INTERSECT:
-                ok = value == m1
-            elif mode == MODE_DIST_MOD:
-                ok = value % m2 == m1
-            else:
-                ok = (allowed_mask >> value) & 1
-            if ok:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+                if carry:
+                    planes.append(carry)
+        row = 0
+        for d in values:
+            if d >> len(planes) == 0:
+                eq = full
+                for k, plane in enumerate(planes):
+                    eq &= plane if (d >> k) & 1 else ~plane
+                row |= eq
+        rows.append(row & ~(1 << i))
     return rows
 
 

@@ -6,23 +6,28 @@ The search is a maximum-clique computation on the pairwise compatibility
 graph of [0,q-1]^n.  Hamming distance is invariant under translation of
 Z_q^n, so for the distance predicates every clique translates to one of the
 same size through the zero vector, and the maximum is searched only among
-cliques containing it; the intersection predicate is searched unrooted.  The
-kernel bounds each node by a greedy colouring of its candidate set.  A
-second, lexicographic pass then fixes the reported witness: the
-lexicographically least clique of the proven maximum size, or of the target
-size when `target_size` stopped the search early.
+cliques containing it.  Those cliques lie in the local graph: the zero
+vector and its neighbours N(0), the vectors whose Hamming weight satisfies
+the predicate.  Only that graph is built, with its vertices in enumeration
+order, so the rooted search runs the same tree as on the whole space under
+an order-preserving relabelling.  The intersection predicate is searched
+unrooted on the whole space.  The kernel bounds each node by a greedy
+colouring of its candidate set.  A second, lexicographic pass then fixes the
+reported witness: the lexicographically least clique of the proven maximum
+size, or of the target size when `target_size` stopped the search early.
+For the distance predicates that clique lies in the local graph too: the
+zero vector comes first in the enumeration and some clique of that size
+contains it, so the least one does.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 from . import kernel
-from .bounds import delsarte_bound, check_mod_distance_hypotheses
 from .errors import HypothesisViolationError, MalformedInputError, ResourceGuardError
-from .exactfield import is_prime
 from .families import VectorSystem
 
 DEFAULT_MAX_SPACE = 1 << 20
@@ -136,16 +141,18 @@ def search_max(
     """
     space_guard(problem.n, problem.q, max_space)
     vectors = enumerate_space(problem.n, problem.q)
+    mode, m1, m2, mask = problem.kernel_args()
+    rooted = problem.predicate in _TRANSLATION_INVARIANT
     if _order is not None:
         vectors = [vectors[i] for i in _order]
-    mode, m1, m2, mask = problem.kernel_args()
+    elif rooted:
+        # The zero vector (index 0) and its neighbours, in enumeration order.
+        weights = {0, *kernel.allowed_values(problem.n, mode, m1, m2, mask)}
+        vectors = [v for v in vectors if problem.n - v.count(0) in weights]
     adj = kernel.adjacency(vectors, problem.n, mode, m1, m2, mask)
     count = len(vectors)
     target = problem.target_size or 0
-
-    root = ()
-    if problem.predicate in _TRANSLATION_INVARIANT:
-        root = (vectors.index(bytes(problem.n)),)
+    root = (vectors.index(bytes(problem.n)),) if rooted else ()
     size, _, nodes = kernel.extend_max(adj, count, root, target)
     early = bool(target) and size >= target
     if early:
@@ -157,69 +164,3 @@ def search_max(
         problem.n, problem.q, [tuple(vectors[i]) for i in sorted(witness)]
     )
     return SearchResult(size, system, nodes, not early)
-
-
-def sweep_bound_grid(n_max: int, q_max: int, p_max: int) -> dict:
-    """Empirical validation sweep.
-
-    For every (n, q, p, lambda) grid point where the modular
-    constant-distance hypotheses hold, assert the searched maximum is at
-    most n(q-1); for s in {1, 2}, assert the maximum under at most s
-    distinct distances is at most the Delsarte bound.  Grid points with a
-    failing hypothesis are listed as excluded(clause).
-    """
-    mod_rows = []
-    violations = 0
-    primes = [p for p in range(2, p_max + 1) if is_prime(p)]
-    for n in range(1, n_max + 1):
-        for q in range(2, q_max + 1):
-            for p in primes:
-                for lam in range(1, p):
-                    verdict = check_mod_distance_hypotheses(n, q, p, lam)
-                    row = {"n": n, "q": q, "p": p, "lambda": lam}
-                    if not verdict.holds:
-                        row["status"] = f"excluded({verdict.failing_clauses()[0]})"
-                        mod_rows.append(row)
-                        continue
-                    result = search_max(SearchProblem(n, q, PRED_DIST_MOD, lam=lam, p=p))
-                    bound = verdict.bound
-                    row.update(
-                        status="ok",
-                        bound=bound,
-                        max=result.max_size,
-                        tight=result.max_size == bound,
-                    )
-                    if result.max_size > bound:
-                        row["status"] = "VIOLATION"
-                        violations += 1
-                    mod_rows.append(row)
-
-    delsarte_rows = []
-    for n in range(1, n_max + 1):
-        for q in range(2, q_max + 1):
-            for s in (1, 2):
-                if s > n:
-                    continue
-                exact = max_with_distance_count(n, q, s)
-                bound = delsarte_bound(n, q, s)
-                ok = exact <= bound
-                if not ok:
-                    violations += 1
-                delsarte_rows.append(
-                    {"n": n, "q": q, "s": s, "bound": bound, "max": exact, "ok": ok}
-                )
-    return {
-        "mod_distance_rows": mod_rows,
-        "delsarte_rows": delsarte_rows,
-        "violations": violations,
-    }
-
-
-def max_with_distance_count(n: int, q: int, s: int) -> int:
-    """Exact maximum size of a system with at most s distinct pairwise
-    distances: the maximum over all distance sets L of size s."""
-    best = 0
-    for allowed in combinations(range(1, n + 1), min(s, n)):
-        result = search_max(SearchProblem(n, q, PRED_DIST_SET, allowed=allowed))
-        best = max(best, result.max_size)
-    return best

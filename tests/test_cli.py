@@ -178,6 +178,16 @@ def test_certify_independence(tmp_path, capsys):
     assert report["payload"]["details"]["rank_deficit"] == 1
 
 
+@pytest.mark.parametrize("entries", [5, [5], ["12"]])
+def test_certify_independence_entries_not_rows_exit_3(tmp_path, capsys, entries):
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps({"field": {"kind": "rational"}, "entries": entries}))
+    code, report, _ = run_cli(capsys, "certify", "independence", "--matrix", str(matrix))
+    assert code == 3
+    assert report["outcome"] == "error" and report["payload"]["kind"] == "MalformedInputError"
+    assert "list of rows" in report["payload"]["error"]
+
+
 def test_search_report(capsys):
     code, report, _ = run_cli(
         capsys, "search", "--n", "4", "--q", "2", "--pred", "dist-mod", "--lambda", "2", "--p", "3"

@@ -127,8 +127,10 @@ def test_nearly_complete_graph_has_no_recursion_limit():
     assert kernel.first_clique_of_size(adj, count, count - 1) == (0,) + tuple(range(2, count))
 
 
-@pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 2), (2, 6)])
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 2), (4, 3), (2, 6)])
 def test_adjacency_matches_reference(q, n):
+    """Whole space, shuffled, and a seeded random subset in enumeration
+    order, as the search's vertex filter passes it."""
     rng = random.Random(q * 100 + n)
     vectors = [bytes(v) for v in product(range(q), repeat=n)]
     cases = [(kernel.MODE_DIST_EQ, m, 0, 0) for m in range(n + 2)]
@@ -137,7 +139,8 @@ def test_adjacency_matches_reference(q, n):
     cases += [(kernel.MODE_DIST_SET, 0, 0, rng.getrandbits(n + 1) & ~1) for _ in range(4)]
     shuffled = list(vectors)
     rng.shuffle(shuffled)
-    for order in (vectors, shuffled):
+    subset = [v for v in vectors if rng.random() < 0.4]
+    for order in (vectors, shuffled, subset):
         for mode, m1, m2, mask in cases:
             assert kernel.adjacency(order, n, mode, m1, m2, mask) == \
                 naive_kernel.adjacency(order, n, mode, m1, m2, mask)
@@ -174,6 +177,19 @@ def test_search_matches_reference_search(q, n):
             result = search_max(bounded)
             got = (result.max_size, result.witness.vectors, result.exhaustive)
             assert got == naive_kernel.search(bounded), bounded
+
+
+@pytest.mark.parametrize("q,n", [(2, n) for n in range(1, 8)] + [(3, n) for n in range(1, 5)])
+def test_local_graph_matches_full_space(q, n):
+    """The rooted predicates search only the zero vector and its
+    neighbours; the identity `_order` takes the full-space path.  Both give
+    the same report, node count included, with and without a target."""
+    identity = list(range(q**n))
+    for problem in problems(n, q):
+        size = search_max(problem, _order=identity).max_size
+        for target in (None, 1, size):
+            bounded = replace(problem, target_size=target)
+            assert search_max(bounded) == search_max(bounded, _order=identity), bounded
 
 
 def test_order_hook_roots_at_the_zero_vector():

@@ -1,11 +1,12 @@
 """Exhaustive search engine: exactness against subset enumeration,
-determinism, guards and the validation sweep."""
+determinism, guards and the distance-count maximum."""
 
 import random
 from itertools import combinations, product
 
 import pytest
 
+from basisbound.acceptance import max_with_distance_count
 from basisbound.errors import HypothesisViolationError, ResourceGuardError
 from basisbound.families import distance_set, hamming_distance
 from basisbound.search import (
@@ -14,9 +15,7 @@ from basisbound.search import (
     PRED_DIST_SET,
     PRED_INTERSECT_CONST,
     SearchProblem,
-    max_with_distance_count,
     search_max,
-    sweep_bound_grid,
 )
 
 
@@ -169,14 +168,3 @@ def test_max_with_distance_count_matches_brute_force():
         for d in (1, 2, 3)
     )
     assert exact == by_sets == 4
-
-
-def test_sweep_grid_report():
-    report = sweep_bound_grid(3, 3, 5)
-    assert report["violations"] == 0
-    statuses = {row["status"] for row in report["mod_distance_rows"]}
-    assert any(s.startswith("excluded(") for s in statuses)
-    assert "ok" in statuses
-    tight = [r for r in report["mod_distance_rows"] if r.get("tight")]
-    assert tight, "expected at least one tight row"
-    assert all(row["ok"] for row in report["delsarte_rows"])

@@ -4,7 +4,12 @@ meet a linear-algebra bound with equality, and exact verification of the
 identities that equality forces (modular distance congruences, the maximal
 two-distance relation, design congruences, the Ryser degree dichotomy).
 
-Both sides of every identity are computed by independent code paths and
+Every scalar goes through the field objects of `exactfield`, and every
+coefficient vector comes from its one elimination engine (`solve_linear`,
+`invert`).  Member functions are evaluated from the data directly: the
+hamming-tight members at a vector are its Hamming distances minus lambda,
+the two-distance members are products of Gram-entry differences.  Both
+sides of every identity are computed by independent code paths and
 compared exactly; floating point appears only in the optional
 coordinate-level checks of two-distance sets.
 """
@@ -33,6 +38,7 @@ from .exactfield import (
     inertia_psd_rank,
     invert,
     rank,
+    scalar_field,
     solve_linear,
 )
 from .families import SetFamily, VectorSystem, degrees, hamming_distance
@@ -135,71 +141,34 @@ def certify_independence(b: ExactMatrix) -> Certificate:
 
 def indicator_poly(a: int, q: int, p: PrimeFieldCtx) -> list[int]:
     """Coefficients over F_p of the minimal-degree polynomial that is 0 at
-    a and 1 at every other point of [0, q-1]; degree at most q-1."""
-    p_value = p.p if isinstance(p, PrimeFieldCtx) else PrimeFieldCtx(p).p
-    if p_value < q:
-        raise HypothesisViolationError(f"need p >= q, got p={p_value}, q={q}", clause="pGeqQ")
+    a and 1 at every other point of [0, q-1]; degree at most q-1.  They
+    solve the q x q Vandermonde system on the nodes 0..q-1, whose
+    re-substitution checks the interpolation."""
+    ctx = p if isinstance(p, PrimeFieldCtx) else PrimeFieldCtx(p)
+    if ctx.p < q:
+        raise HypothesisViolationError(f"need p >= q, got p={ctx.p}, q={q}", clause="pGeqQ")
     if not 0 <= a < q:
         raise MalformedInputError(f"symbol {a} outside [0, {q - 1}]")
-    coeffs = [0]
-    for t in range(q):
-        if t == a:
-            continue
-        # Lagrange basis polynomial for node t over the nodes [0, q-1].
-        basis = [1]
-        denom = 1
-        for u in range(q):
-            if u == t:
-                continue
-            basis = _poly_mul_linear(basis, (-u) % p_value, p_value)
-            denom = denom * (t - u) % p_value
-        scale = pow(denom, p_value - 2, p_value)
-        basis = [c * scale % p_value for c in basis]
-        coeffs = _poly_add(coeffs, basis, p_value)
-    for t in range(q):
-        expected = 0 if t == a else 1
-        if _poly_eval(coeffs, t, p_value) != expected:
-            raise InternalInconsistencyError("indicator interpolation failed")
+    vandermonde = ExactMatrix(ctx, [[t**k for k in range(q)] for t in range(q)])
+    coeffs = solve_linear(vandermonde, [int(t != a) for t in range(q)])
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
-
-
-def _poly_mul_linear(coeffs, constant, p):
-    # multiply by (x + constant)
-    out = [0] * (len(coeffs) + 1)
-    for i, c in enumerate(coeffs):
-        out[i] = (out[i] + c * constant) % p
-        out[i + 1] = (out[i + 1] + c) % p
-    return out
-
-
-def _poly_add(a, b, p):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return out
-
-
-def _poly_eval(coeffs, x, p):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
 
 
 def hamming_tight_certificate(system: VectorSystem, p, lam: int) -> Certificate:
     """Certificate for a vector system meeting the modular constant-distance
     bound n(q-1) with one extra member.
 
-    Builds f_a(x) = sum_i l_{a_i}(x_i) - lambda over F_p, checks the
-    evaluation matrix on the system is nonsingular, extracts the
-    coefficients expressing the constant 1 in that basis (each must be
-    -1/lambda), re-expands the combination coefficientwise, evaluates the
-    member sum at all constant vectors, and checks the forced congruence
-    q*lambda = n(q-1)+1 mod p.
+    The member functions are f_a(x) = sum_i l_{a_i}(x_i) - lambda over F_p,
+    where l_a is `indicator_poly(a)`: 0 at a and 1 elsewhere on [0, q-1].
+    So f_a(h) = d_H(a, h) - lambda, and the evaluation matrix and the member
+    sums at the constant vectors are read from Hamming distances.  One
+    exact solve of the evaluation system gives the coefficients expressing
+    the constant 1 in that basis (each must be -1/lambda), or the rank when
+    it is singular.  The combination is then re-expanded over the monomial
+    coefficients of the l_a, independently of the distances, and the forced
+    congruence q*lambda = n(q-1)+1 mod p is checked.
     """
     ctx = p if isinstance(p, PrimeFieldCtx) else PrimeFieldCtx(p)
     p_value = ctx.p
@@ -245,38 +214,20 @@ def hamming_tight_certificate(system: VectorSystem, p, lam: int) -> Certificate:
             "hamming-tight", hypotheses, [], [], details, not_applicable=True
         )
 
-    indicators = [indicator_poly(a, q, ctx) for a in range(q)]
     member_count = len(vectors)
-
-    def poly_coeff_vector(vec):
-        # basis: slot 0 the constant, slot 1+i(q-1)+(j-1) the monomial x_i^j
-        coeffs = [0] * size_target
-        coeffs[0] = (-lam_res) % p_value
-        for i, a_i in enumerate(vec):
-            la = indicators[a_i]
-            coeffs[0] = (coeffs[0] + la[0]) % p_value
-            for j in range(1, q):
-                c = la[j] if j < len(la) else 0
-                coeffs[1 + i * (q - 1) + (j - 1)] = c
-        return coeffs
-
-    def evaluate_member(vec, point):
-        acc = (-lam_res) % p_value
-        for i, a_i in enumerate(vec):
-            acc = (acc + _poly_eval(indicators[a_i], point[i], p_value)) % p_value
-        return acc
-
     evaluation = ExactMatrix(
-        ctx,
-        [[evaluate_member(f, h) for f in vectors] for h in vectors],
+        ctx, [[hamming_distance(f, h) - lam for f in vectors] for h in vectors]
     )
-    rk = rank(evaluation)
+    coefficients: list[str] = []
+    try:
+        alpha = solve_linear(evaluation, [ctx.one] * member_count)
+        rk = member_count
+    except SingularSystemError as exc:
+        alpha, rk = None, exc.rank
     identities = [
         Identity("evaluation_matrix_nonsingular", str(rk), str(member_count), rk == member_count)
     ]
-    coefficients: list[str] = []
-    if rk == member_count:
-        alpha = solve_linear(evaluation, [ctx.one] * member_count)
+    if alpha is not None:
         coefficients = [ctx.format(x) for x in alpha]
         expected_alpha = ctx.neg(ctx.inv(lam_res))
         distinct_alpha = sorted(set(alpha))
@@ -288,11 +239,18 @@ def hamming_tight_certificate(system: VectorSystem, p, lam: int) -> Certificate:
                 distinct_alpha == [expected_alpha],
             )
         )
+        # Re-expand sum_t alpha_t f_t over the monomials: slot 0 holds the
+        # constant, slot 1+i(q-1)+(j-1) the monomial x_i^j.
+        indicators = [indicator_poly(a, q, ctx) for a in range(q)]
         combo = [0] * size_target
         for t, vec in enumerate(vectors):
-            cv = poly_coeff_vector(vec)
-            for k in range(size_target):
-                combo[k] = (combo[k] + alpha[t] * cv[k]) % p_value
+            combo[0] -= alpha[t] * lam_res
+            for i, a_i in enumerate(vec):
+                la = indicators[a_i]
+                combo[0] += alpha[t] * la[0]
+                for j in range(1, len(la)):
+                    combo[1 + i * (q - 1) + (j - 1)] += alpha[t] * la[j]
+        combo = [c % p_value for c in combo]
         identities.append(
             Identity("combination_constant_term", ctx.format(combo[0]), "1", combo[0] == 1 % p_value)
         )
@@ -304,7 +262,7 @@ def hamming_tight_certificate(system: VectorSystem, p, lam: int) -> Certificate:
     minus_lam = (-lam_res) % p_value
     for j in range(q):
         point = (j,) * n
-        total = sum(evaluate_member(f, point) for f in vectors) % p_value
+        total = sum(hamming_distance(f, point) - lam for f in vectors) % p_value
         identities.append(
             Identity(
                 f"member_sum_at_constant_vector_{j}",
@@ -568,11 +526,13 @@ def two_distance_certificate(gram: GramTwoDistance) -> Certificate:
 
 def neumaier_check(n: int, count: int, d1sq, d2sq) -> Certificate:
     """For a two-distance set in dimension n with more than max(2n+1, 5)
-    points, the squared-distance ratio must be (m-1)/m for an integer m."""
-    d1sq, d2sq = _coerce_distance(d1sq), _coerce_distance(d2sq)
-    if _scalar_sign(d1sq) <= 0:
+    points, the squared-distance ratio must be (m-1)/m for an integer m.
+    Both squared distances are computed in the one field that holds them."""
+    field = scalar_field([d1sq, d2sq])
+    d1sq, d2sq = field.coerce(d1sq), field.coerce(d2sq)
+    if field.sign(d1sq) <= 0:
         raise MalformedInputError("squared distances must be positive")
-    if not _scalar_less(d1sq, d2sq):
+    if field.sign(field.sub(d2sq, d1sq)) <= 0:
         raise MalformedInputError("expected d1^2 < d2^2 (swap the arguments)")
     threshold = max(2 * n + 1, 5)
     applicable = count > threshold
@@ -581,55 +541,22 @@ def neumaier_check(n: int, count: int, d1sq, d2sq) -> Certificate:
     if not applicable:
         return _certificate("neumaier", hypotheses, [], [], details, not_applicable=True)
 
-    ratio = _scalar_div(d1sq, d2sq)
+    ratio = field.div(d1sq, d2sq)
     m = _ratio_integer_m(ratio)
     details["m"] = m
     if m is not None:
         right = Fraction(m - 1, m)
         ident = Identity(
             "ratio_is_m_minus_one_over_m",
-            _format_ratio(ratio),
+            field.format(ratio),
             f"{right.numerator}/{right.denominator}",
             True,
         )
     else:
         ident = Identity(
-            "ratio_is_m_minus_one_over_m", _format_ratio(ratio), "(m-1)/m for integer m", False
+            "ratio_is_m_minus_one_over_m", field.format(ratio), "(m-1)/m for integer m", False
         )
     return _certificate("neumaier", hypotheses, [], [ident], details)
-
-
-def _coerce_distance(x):
-    if isinstance(x, QuadExt):
-        return x
-    return Fraction(x)
-
-
-def _scalar_sign(x):
-    if isinstance(x, QuadExt):
-        return x.sign()
-    return 0 if x == 0 else (1 if x > 0 else -1)
-
-
-def _scalar_less(x, y):
-    diff_sign = _scalar_sign(_scalar_sub(y, x))
-    return diff_sign > 0
-
-
-def _scalar_sub(x, y):
-    if isinstance(x, QuadExt) or isinstance(y, QuadExt):
-        if not isinstance(x, QuadExt):
-            x = QuadExt(Fraction(x), Fraction(0), y.d)
-        return x - y
-    return x - y
-
-
-def _scalar_div(x, y):
-    if isinstance(x, QuadExt) or isinstance(y, QuadExt):
-        if not isinstance(x, QuadExt):
-            x = QuadExt(Fraction(x), Fraction(0), y.d)
-        return x / y
-    return x / y
 
 
 def _ratio_integer_m(ratio):
@@ -644,14 +571,6 @@ def _ratio_integer_m(ratio):
     if m.denominator != 1 or m < 2:
         return None
     return int(m)
-
-
-def _format_ratio(ratio):
-    if isinstance(ratio, QuadExt):
-        from .exactfield import QuadExtField
-
-        return QuadExtField(ratio.d).format(ratio)
-    return QQ.format(ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -42,14 +42,13 @@ from .constructions import (
     pentagon,
     projective_plane,
     schlafli27,
-    _detect_field,
 )
 from .errors import (
     BasisBoundError,
     HypothesisViolationError,
     MalformedInputError,
 )
-from .exactfield import QQ, ExactMatrix, PrimeFieldCtx, QuadExtField
+from .exactfield import QQ, ExactMatrix, PrimeFieldCtx, QuadExtField, scalar_field
 from .families import SetFamily, VectorSystem
 from .search import SearchProblem, search_max
 
@@ -196,24 +195,19 @@ def _load_matrix(doc) -> ExactMatrix:
         field_doc = doc["field"]
         kind = field_doc["kind"]
         entries = doc["entries"]
-    except (KeyError, TypeError) as exc:
+        if kind == "rational":
+            field = QQ
+        elif kind == "prime":
+            field = PrimeFieldCtx(int(field_doc["p"]))
+        elif kind == "quadratic":
+            field = QuadExtField(int(field_doc["d"]))
+        else:
+            raise MalformedInputError(f"unknown field kind {kind!r}")
+    except (KeyError, TypeError, OverflowError) as exc:
         raise MalformedInputError(f"bad matrix document: {exc}") from exc
     if not (isinstance(entries, list) and all(isinstance(row, list) for row in entries)):
         raise MalformedInputError("matrix entries must be a list of rows")
-    if kind == "rational":
-        field = QQ
-    elif kind == "prime":
-        field = PrimeFieldCtx(int(field_doc["p"]))
-    elif kind == "quadratic":
-        field = QuadExtField(int(field_doc["d"]))
-    else:
-        raise MalformedInputError(f"unknown field kind {kind!r}")
     return ExactMatrix(field, [[field.parse(str(x)) for x in row] for row in entries])
-
-
-def _parse_exact_scalar(text: str):
-    field = _detect_field([text])
-    return field.parse(text)
 
 
 def _family_summary(family: SetFamily) -> dict:
@@ -279,9 +273,8 @@ def _run_certify(args):
         cert = two_distance_certificate(GramTwoDistance.from_json_dict(doc))
     elif args.certify_kind == "neumaier":
         inputs.extend([args.n, args.count, args.d1sq, args.d2sq])
-        cert = neumaier_check(
-            args.n, args.count, _parse_exact_scalar(args.d1sq), _parse_exact_scalar(args.d2sq)
-        )
+        field = scalar_field([args.d1sq, args.d2sq])
+        cert = neumaier_check(args.n, args.count, field.parse(args.d1sq), field.parse(args.d2sq))
     elif args.certify_kind == "mod-design":
         doc, raw = _read_json(args.family)
         inputs.extend([raw, args.p])

@@ -28,6 +28,7 @@ from .exactfield import (
     QuadExtField,
     inertia_psd_rank,
     is_prime,
+    scalar_field,
 )
 from .families import SetFamily, distance_set, intersection_profile
 
@@ -125,14 +126,23 @@ class GramTwoDistance:
             count = int(doc["N"])
             scalars = [doc["a"], doc["b"]]
             grid = doc["gram"]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise MalformedInputError(f"bad gram document: {exc}") from exc
+        if not (isinstance(grid, list) and all(isinstance(row, list) for row in grid)):
+            raise MalformedInputError("gram must be a list of rows")
         flat = [s for row in grid for s in row] + scalars
-        field = _detect_field(flat)
+        if not all(isinstance(s, str) for s in flat):
+            raise MalformedInputError("gram scalars must be strings")
+        field = scalar_field(flat)
         gram = ExactMatrix(field, [[field.parse(s) for s in row] for row in grid])
         coords = doc.get("coords")
         if coords is not None:
-            coords = tuple(tuple(float(x) for x in c) for c in coords)
+            try:
+                coords = tuple(tuple(float(x) for x in c) for c in coords)
+            except (TypeError, OverflowError) as exc:
+                raise MalformedInputError(f"bad coordinates: {exc}") from exc
+            if any(len(c) < n for c in coords):
+                raise MalformedInputError(f"each coordinate row needs {n} entries")
         return cls(
             n=n,
             count=count,
@@ -144,26 +154,13 @@ class GramTwoDistance:
         )
 
 
-def _detect_field(scalar_strings):
-    radicands = set()
-    for s in scalar_strings:
-        if "sqrt" in s:
-            start = s.index("sqrt(") + 5
-            radicands.add(int(s[start : s.index(")", start)]))
-    if not radicands:
-        return QQ
-    if len(radicands) > 1:
-        raise MalformedInputError(f"mixed radicands in document: {sorted(radicands)}")
-    return QuadExtField(radicands.pop())
-
-
 def projective_plane(r: int) -> SetFamily:
     """Projective plane of prime order r: r^2+r+1 points and as many lines
     of size r+1, any two lines meeting in one point."""
-    if not is_prime(r):
-        raise HypothesisViolationError(f"plane order must be prime: {r}")
     if r > MAX_PLANE_ORDER:
         raise HypothesisViolationError(f"plane order above desk scale: {r} > {MAX_PLANE_ORDER}")
+    if not is_prime(r):
+        raise HypothesisViolationError(f"plane order must be prime: {r}")
     points = _projective_points(r)
     index = {pt: k + 1 for k, pt in enumerate(points)}
     n = len(points)

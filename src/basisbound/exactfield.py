@@ -5,7 +5,8 @@ certifiers.
 No floating point ever enters a computation here: rationals are
 `fractions.Fraction`, prime-field elements are residues, and quadratic
 elements carry two Fraction parts.  Signs of quadratic elements are decided
-by exact comparison of squares.
+by exact comparison of squares.  `scalar_field` is the one place that
+decides whether a set of scalars lives in Q or in Q(sqrt(d)).
 
 rank, determinant, solve_linear and invert share one Gauss-Jordan engine,
 `_eliminate`.  Over Q it runs fraction-free on integers (Bareiss 1968),
@@ -35,6 +36,7 @@ _QUAD_RE = re.compile(
     r"(?:(?P<coef>\d+(?:/\d+)?)\*)?"
     r"sqrt\((?P<rad>\d+)\)$"
 )
+_RADICAND_RE = re.compile(r"sqrt\((\d+)\)")
 
 
 def is_prime(m: int) -> bool:
@@ -88,10 +90,6 @@ class QuadExt:
     rat: Fraction
     surd: Fraction
     d: int
-
-    def __post_init__(self):
-        if self.d < 2 or not is_squarefree(self.d) or is_square_int(self.d):
-            raise MalformedInputError(f"radicand must be squarefree and >= 2: {self.d}")
 
     def _coerce(self, other):
         if isinstance(other, QuadExt):
@@ -203,13 +201,6 @@ class QuadExt:
 
     def __repr__(self):
         return f"QuadExt({self.rat}, {self.surd}, sqrt{self.d})"
-
-
-def is_square_int(m: int) -> bool:
-    if m < 0:
-        return False
-    r = math.isqrt(m)
-    return r * r == m
 
 
 class RationalField:
@@ -352,13 +343,16 @@ class PrimeFieldCtx:
 
 
 class QuadExtField:
-    """Field tag for Q(sqrt(d)) with a fixed squarefree radicand d."""
+    """Field tag for Q(sqrt(d)) with a fixed squarefree radicand 2 <= d < 2^31.
+
+    The radicand is validated here, once; QuadExt elements trust it.
+    """
 
     ordered = True
 
     def __init__(self, d: int):
-        if d < 2 or not is_squarefree(d) or is_square_int(d):
-            raise MalformedInputError(f"radicand must be squarefree and >= 2: {d}")
+        if not (isinstance(d, int) and 2 <= d < 1 << 31 and is_squarefree(d)):
+            raise MalformedInputError(f"radicand must be squarefree in [2, 2^31): {d}")
         self.d = d
         self.zero = QuadExt(Fraction(0), Fraction(0), d)
         self.one = QuadExt(Fraction(1), Fraction(0), d)
@@ -445,6 +439,24 @@ class QuadExtField:
 
     def __repr__(self):
         return f"QQ(sqrt({self.d}))"
+
+
+def scalar_field(values):
+    """The one field that holds every value: Q(sqrt(d)) when some value is a
+    QuadExt or a string literal naming sqrt(d), else QQ.  Values must be
+    string literals or exact elements (int, Fraction, QuadExt); mixed
+    radicands are an error, not a tower extension."""
+    radicands = set()
+    for x in values:
+        if isinstance(x, QuadExt):
+            radicands.add(x.d)
+        elif isinstance(x, str):
+            radicands.update(int(r) for r in _RADICAND_RE.findall(x))
+        elif isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            raise MalformedInputError(f"not an exact scalar: {x!r}")
+    if len(radicands) > 1:
+        raise MalformedInputError(f"mixed radicands: {sorted(radicands)}")
+    return QuadExtField(radicands.pop()) if radicands else QQ
 
 
 class ExactMatrix:

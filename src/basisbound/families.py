@@ -35,8 +35,8 @@ class VectorSystem:
         for v in self.vectors:
             if len(v) != self.n:
                 raise MalformedInputError(f"vector length {len(v)} != n = {self.n}")
-            if any(not (0 <= x < self.q) for x in v):
-                raise MalformedInputError(f"entry out of [0, {self.q - 1}] in {v}")
+            if any(not (isinstance(x, int) and 0 <= x < self.q) for x in v):
+                raise MalformedInputError(f"entry not an integer in [0, {self.q - 1}] in {v}")
             if v in seen:
                 raise MalformedInputError(f"duplicate vector {v}")
             seen.add(v)
@@ -70,7 +70,7 @@ class VectorSystem:
     def from_json_dict(cls, doc):
         try:
             return cls.from_lists(int(doc["n"]), int(doc["q"]), doc["vectors"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise MalformedInputError(f"bad vector-system document: {exc}") from exc
 
 
@@ -128,7 +128,7 @@ class SetFamily:
     def from_json_dict(cls, doc):
         try:
             return cls.from_sets(int(doc["n"]), doc["sets"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise MalformedInputError(f"bad family document: {exc}") from exc
 
 

@@ -157,8 +157,8 @@ def search_max(
     early = bool(target) and size >= target
     if early:
         # Report the target size itself, witnessed by the least clique of
-        # that size; a negative target is met by any single vector.
-        size = max(target, 1)
+        # that size.
+        size = target
     witness = kernel.first_clique_of_size(adj, count, size)
     system = VectorSystem.from_lists(
         problem.n, problem.q, [tuple(vectors[i]) for i in sorted(witness)]

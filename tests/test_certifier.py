@@ -105,15 +105,13 @@ def test_indicator_poly_binary():
     assert indicator_poly(1, 2, p5) == [1, 4]  # 1 - x
 
 
-def test_indicator_poly_ternary_values():
-    p5 = PrimeFieldCtx(5)
-    coeffs = indicator_poly(0, 3, p5)
-    assert len(coeffs) <= 3
-
-    def evaluate(x):
-        return sum(c * x**k for k, c in enumerate(coeffs)) % 5
-
-    assert evaluate(0) == 0 and evaluate(1) == 1 and evaluate(2) == 1
+@pytest.mark.parametrize("q, p", [(3, 5), (4, 5), (4, 7), (5, 7)])
+def test_indicator_poly_ternary_values(q, p):
+    for a in range(q):
+        coeffs = indicator_poly(a, q, PrimeFieldCtx(p))
+        assert len(coeffs) <= q
+        values = [sum(c * x**k for k, c in enumerate(coeffs)) % p for x in range(q)]
+        assert values == [int(x != a) for x in range(q)]
 
 
 def test_indicator_poly_needs_p_geq_q():
@@ -131,6 +129,21 @@ def test_hamming_tight_hadamard_v1():
     assert cert.coefficients == ["2"] * 4  # -1/2 = 2 in F_5
     ident = cert.identity("tightness_congruence")
     assert ident.left == ident.right == "4"
+
+
+def test_hamming_tight_combination_check_independent_of_evaluation(monkeypatch):
+    """The evaluation matrix comes from Hamming distances, the combination
+    check from the indicator coefficients: a wrong indicator polynomial
+    fails only the combination identities."""
+    import basisbound.certifier as certifier
+
+    real = certifier.indicator_poly
+    monkeypatch.setattr(
+        certifier, "indicator_poly", lambda a, q, p: [(real(a, q, p)[0] + 1) % p.p] + real(a, q, p)[1:]
+    )
+    cert = hamming_tight_certificate(hadamard_plus_full(2).to_vector_system(), 5, 4)
+    failed = {i.name for i in cert.identities if not i.holds}
+    assert cert.verdict == "fail" and failed == {"combination_constant_term"}
 
 
 def test_hamming_tight_hadamard_v2():
@@ -341,6 +354,18 @@ def test_neumaier_rejects_unordered_distances():
         neumaier_check(5, 15, Fraction(2), Fraction(1))
     with pytest.raises(MalformedInputError):
         neumaier_check(5, 15, Fraction(0), Fraction(1))
+
+
+def test_neumaier_rational_and_quadratic_arguments():
+    # 1 and 2+sqrt(2) are joined in Q(sqrt 2); the ratio 1-sqrt(2)/2 is irrational.
+    cert = neumaier_check(2, 8, Fraction(1), QuadExt(Fraction(2), Fraction(1), 2))
+    assert cert.verdict == "fail"
+    assert cert.identities[0].left == "1-1/2*sqrt(2)"
+    # A rational ratio reached through Q(sqrt 2): sqrt(2) / (2*sqrt(2)) = 1/2 gives m = 2.
+    cert = neumaier_check(5, 15, QuadExt(Fraction(0), Fraction(1), 2), QuadExt(Fraction(0), Fraction(2), 2))
+    assert cert.passed and cert.details["m"] == 2
+    with pytest.raises(MalformedInputError):
+        neumaier_check(5, 15, QuadExt(Fraction(0), Fraction(1), 2), QuadExt(Fraction(0), Fraction(1), 3))
 
 
 def test_neumaier_non_integer_ratio_fails():

@@ -1,12 +1,21 @@
 """CLI: subcommand behavior, exit codes, report determinism, file round
 trips and fault injection."""
 
+import contextlib
+import functools
+import io
 import json
+import operator
+import tempfile
 from itertools import product
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from basisbound.cli import main
+from basisbound.constructions import fano_plane, hadamard_plus_full, pentagon
 
 
 def run_cli(capsys, *argv):
@@ -188,6 +197,35 @@ def test_certify_independence_entries_not_rows_exit_3(tmp_path, capsys, entries)
     assert "list of rows" in report["payload"]["error"]
 
 
+@pytest.mark.parametrize(
+    "argv, document",
+    [
+        (["independence", "--matrix"], '{"field": {"kind": "prime"}, "entries": [["1"]]}'),
+        (["independence", "--matrix"], '{"field": {"kind": "quadratic", "d": null}, "entries": []}'),
+        (["two-distance", "--gram"], '{"n": 1, "N": 1, "a": 1, "b": "0", "gram": [["1"]]}'),
+        (["two-distance", "--gram"], '{"n": 1, "N": 1, "a": "1/2", "b": "0", "gram": 5}'),
+        (["two-distance", "--gram"],
+         '{"n": 1, "N": 2, "a": "0", "b": "-1/2", "gram": [["1", "0"], ["0", "1"]], "coords": 5}'),
+        (["two-distance", "--gram"],
+         '{"n": 1, "N": 2, "a": "0", "b": "-1/2", "gram": [["1", "0"], ["0", "1"]], "coords": [[], []]}'),
+        (["ryser", "--lambda", "1", "--family"], '{"n": 1e999, "sets": [[1]]}'),
+        (["hamming-tight", "--p", "3", "--lambda", "1", "--vectors"],
+         '{"n": 1, "q": 1e999, "vectors": [[0]]}'),
+        (["hamming-tight", "--p", "3", "--lambda", "1", "--vectors"],
+         '{"n": 1, "q": 2, "vectors": [[0.0], [1]]}'),
+    ],
+    ids=["matrix-prime-without-p", "matrix-radicand-null", "gram-a-number", "gram-not-rows",
+         "gram-coords-not-rows", "gram-coords-short-row", "family-n-overflow",
+         "vectors-q-overflow", "vectors-float-entry"],
+)
+def test_certify_malformed_document_exit_3(tmp_path, capsys, argv, document):
+    path = tmp_path / "doc.json"
+    path.write_text(document)
+    code, report, _ = run_cli(capsys, "certify", *argv, str(path))
+    assert code == 3
+    assert report["outcome"] == "error" and report["payload"]["kind"] == "MalformedInputError"
+
+
 def test_search_report(capsys):
     code, report, _ = run_cli(
         capsys, "search", "--n", "4", "--q", "2", "--pred", "dist-mod", "--lambda", "2", "--p", "3"
@@ -311,3 +349,87 @@ def test_emitted_files_reload(tmp_path, capsys):
         code, _, _ = run_cli(capsys, "construct", name, *args, "--out", str(path))
         assert code == 0
         loader(json.loads(path.read_text()))
+
+
+# -- loader fuzzing -------------------------------------------------------------
+
+_DELETE = object()
+_FUZZ_CASES = {
+    # subcommand: (document option, extra argv, valid document, key paths to overwrite)
+    "independence": (
+        "--matrix", [], {"field": {"kind": "prime", "p": 5}, "entries": [["1", "2"], ["3", "4"]]},
+        [("field",), ("field", "kind"), ("field", "p"), ("field", "d"), ("entries",),
+         ("entries", 0), ("entries", 0, 1)],
+    ),
+    "two-distance": (
+        "--gram", [], pentagon().to_json_dict(),
+        [("n",), ("N",), ("a",), ("b",), ("gram",), ("gram", 0), ("gram", 0, 1), ("coords",),
+         ("coords", 0), ("coords", 0, 0), ("affine_dim",)],
+    ),
+    "hamming-tight": (
+        "--vectors", ["--p", "5", "--lambda", "2"],
+        hadamard_plus_full(1).to_vector_system().to_json_dict(),
+        [("n",), ("q",), ("vectors",), ("vectors", 0), ("vectors", 0, 0)],
+    ),
+    "ryser": (
+        "--family", ["--lambda", "1"], fano_plane().to_json_dict(),
+        [("n",), ("sets",), ("sets", 0), ("sets", 0, 0)],
+    ),
+    "mod-design": (
+        "--family", ["--p", "5"], fano_plane().to_json_dict(),
+        [("n",), ("sets",), ("sets", 0), ("sets", 0, 0)],
+    ),
+}
+_json_values = st.sampled_from(
+    # Tuples, not lists: a sampled constant is shared between examples and
+    # must not be edited in place.  JSON writes them as lists.
+    [None, 0, 5, -1, 2**31 + 11, 10**400, float("inf"), 0.5, "1", "-1/2", "sqrt(5)", "1/0", (5,), ((),)]
+) | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _mutated_documents(draw):
+    kind = draw(st.sampled_from(sorted(_FUZZ_CASES)))
+    paths = _FUZZ_CASES[kind][3]
+    edits = st.tuples(st.sampled_from(paths), st.just(_DELETE) | _json_values)
+    return kind, tuple(draw(st.lists(edits, min_size=1, max_size=2)))
+
+
+def _edit(doc, path, value):
+    """Write `value` at `path`, or delete the key; a path that an earlier
+    edit removed is skipped."""
+    try:
+        target = functools.reduce(operator.getitem, path[:-1], doc)
+        if value is _DELETE:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+    except (KeyError, IndexError, TypeError):
+        pass
+
+
+@settings(max_examples=50, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_mutated_documents())
+def test_certify_loaders_never_crash(case):
+    """Any JSON value in any key of a certify document gives a JSON report,
+    an exit code in 0..3, and exit 1 only from a failed certificate."""
+    kind, edits = case
+    option, extra, base, _ = _FUZZ_CASES[kind]
+    doc = json.loads(json.dumps(base))
+    for path, value in edits:
+        _edit(doc, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        document = Path(tmp) / "doc.json"
+        document.write_text(json.dumps(doc))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["certify", kind, option, str(document), *extra])
+    report = json.loads(out.getvalue())
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert report["payload"]["verdict"] == "fail"

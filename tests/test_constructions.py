@@ -57,6 +57,12 @@ def test_projective_plane_rejects_nonprime():
         projective_plane(37)
 
 
+def test_projective_plane_checks_order_cap_before_primality():
+    # A prime far above the cap; trial division on it would run for minutes.
+    with pytest.raises(HypothesisViolationError, match="desk scale"):
+        projective_plane(1000000000000000003)
+
+
 # -- Hadamard designs -------------------------------------------------------
 
 

@@ -16,8 +16,8 @@ from basisbound.exactfield import (
     determinant,
     inertia_psd_rank,
     invert,
-    is_square_int,
     rank,
+    scalar_field,
     solve_linear,
 )
 
@@ -99,17 +99,21 @@ def test_quadratic_mixed_radicands_error():
 
 
 def test_quadratic_radicand_must_be_squarefree():
-    with pytest.raises(MalformedInputError):
-        QuadExt(Fraction(1), Fraction(1), 12)
-    with pytest.raises(MalformedInputError):
-        QuadExtField(9)
+    # 2^31 + 11 and 10^14 + 31 are squarefree but above the word-sized bound;
+    # they are refused before any trial division.
+    for d in (12, 9, 1, 0, -5, 2**31 + 11, 10**14 + 31):
+        with pytest.raises(MalformedInputError):
+            QuadExtField(d)
 
 
-def test_is_square_int_beyond_float_range():
-    assert is_square_int(10**400)
-    assert not is_square_int(10**400 + 1)
-    assert not is_square_int(-4)
-    assert [m for m in range(50) if is_square_int(m)] == [0, 1, 4, 9, 16, 25, 36, 49]
+def test_scalar_field_joins_q_and_one_radicand():
+    assert scalar_field(["1/2", "-3", 2, Fraction(1, 3)]) == QQ
+    assert scalar_field([]) == QQ
+    assert scalar_field(["1", "2-1/2*sqrt(5)", quad(1, 1)]) == F5
+    assert scalar_field([Fraction(1), QuadExt(Fraction(0), Fraction(1), 2)]) == QuadExtField(2)
+    for bad in (["sqrt(2)", "sqrt(3)"], [quad(0, 1), "sqrt(7)"], ["sqrt(4)"], [1.5], [True], [None]):
+        with pytest.raises(MalformedInputError):
+            scalar_field(bad)
 
 
 rationals = st.fractions(

@@ -493,9 +493,15 @@ def two_distance_certificate(gram: GramTwoDistance) -> Certificate:
     )
 
     if gram.coords is not None:
-        ab_sum = float(field.add(a, b))
-        worst = 0.0
-        for i in range(n):
+        try:
+            ab_sum = float(field.add(a, b))
+            rhs = n * float(target) - n * count * float(field.mul(a, b))
+        except OverflowError:
+            ab_sum = rhs = math.inf
+        # A declared value beyond float range fails both float checks.
+        finite = math.isfinite(ab_sum) and math.isfinite(rhs)
+        worst = 0.0 if finite else math.inf
+        for i in range(n if finite else 0):
             axis_total = ab_sum * sum(c[i] for c in gram.coords)
             worst = max(worst, abs(axis_total))
         identities.append(
@@ -503,17 +509,16 @@ def two_distance_certificate(gram: GramTwoDistance) -> Certificate:
                 "coordinate_axis_sums_vanish",
                 repr(worst),
                 "0.0",
-                _float_close(worst, 0.0),
+                finite and _float_close(worst, 0.0),
             )
         )
         norm_total = sum(x * x for c in gram.coords for x in c)
-        rhs = n * float(target) - n * count * float(field.mul(a, b))
         identities.append(
             Identity(
                 "coordinate_norm_total",
                 repr(norm_total),
                 repr(rhs),
-                _float_close(norm_total, rhs) and _float_close(norm_total, float(count)),
+                finite and _float_close(norm_total, rhs) and _float_close(norm_total, float(count)),
             )
         )
 

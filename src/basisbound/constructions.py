@@ -33,6 +33,7 @@ from .exactfield import (
 from .families import SetFamily, distance_set, intersection_profile
 
 MAX_PLANE_ORDER = 31
+MAX_HADAMARD_V = 128  # 4v-1 <= 511 points: the plus-full check takes seconds
 
 
 @dataclass
@@ -204,6 +205,8 @@ def hadamard_design(v: int) -> SetFamily:
     with 4v-1 prime are supported."""
     if v < 1:
         raise HypothesisViolationError(f"order parameter must be positive: {v}")
+    if v > MAX_HADAMARD_V:
+        raise HypothesisViolationError(f"order parameter above desk scale: {v} > {MAX_HADAMARD_V}")
     m = 4 * v - 1
     if not is_prime(m):
         raise UnsupportedOrderError(f"4v-1 = {m} is not prime; Paley construction unavailable")

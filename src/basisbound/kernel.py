@@ -41,7 +41,9 @@ def adjacency(vectors, n, mode, m1, m2, allowed_mask):
     differs from vectors[i][c], or for intersections both symbols are
     nonzero) is added into vertical bit counters: planes[k] holds bit k of
     every vertex's running count.  The row is then the union of the
-    equality masks of the allowed values.
+    equality masks of the allowed values; every count lies in [0, n], so
+    when most values are allowed it is the complement of the union over the
+    disallowed ones.
     """
     count = len(vectors)
     full = (1 << count) - 1
@@ -57,6 +59,9 @@ def adjacency(vectors, n, mode, m1, m2, allowed_mask):
     else:
         adds = [[full ^ mask for mask in col] for col in symbols]
     values = allowed_values(n, mode, m1, m2, allowed_mask)
+    invert = full if 2 * len(values) > n + 1 else 0
+    if invert:
+        values = [d for d in range(n + 1) if d not in values]
     rows = []
     for i, v in enumerate(vectors):
         planes = []
@@ -77,7 +82,7 @@ def adjacency(vectors, n, mode, m1, m2, allowed_mask):
                 for k, plane in enumerate(planes):
                     eq &= plane if (d >> k) & 1 else ~plane
                 row |= eq
-        rows.append(row & ~(1 << i))
+        rows.append((row ^ invert) & ~(1 << i))
     return rows
 
 
@@ -99,25 +104,28 @@ def _colour_classes(nonadj, cand):
     return classes
 
 
-def extend_max(adj, count, prefix, target):
-    """Largest clique containing the clique `prefix`.
+def extend_max(adj, count, prefix, target, cand=None, floor=0):
+    """Largest clique containing the clique `prefix`, with its other
+    members drawn from the mask `cand` (default: every vertex).
 
     Returns (best_size, witness, nodes): the witness is one clique of
-    best_size vertices (None only when `count` is 0), and nodes counts the
-    search nodes entered.  A positive `target` stops the search as soon as a
-    clique of at least that size is found.  The witness is not canonical:
-    branching follows the colour classes, highest first, and a candidate set
-    that is already a clique is taken whole.
+    best_size vertices, and nodes counts the search nodes entered.  The
+    search starts from the incumbent size `floor` and prunes against it, so
+    the witness is None when no clique beats it.  A positive `target` stops
+    the search as soon as a clique of at least that size is found.  The
+    witness is not canonical: branching follows the colour classes, highest
+    first, and a candidate set that is already a clique is taken whole.
     """
     if count == 0:
-        return 0, None, 0
-    cand = (1 << count) - 1
+        return floor, None, 0
+    if cand is None:
+        cand = (1 << count) - 1
     for v in prefix:
         cand &= adj[v]
     nonadj = [~row ^ (1 << v) for v, row in enumerate(adj)]
     base = len(prefix)
     clique = list(prefix)
-    best, witness, nodes = 0, None, 0
+    best, witness, nodes = floor, None, 0
     # One frame per open node: [candidates not yet branched on, colour
     # classes not yet exhausted]; a node's bound is its size plus the number
     # of classes left.

@@ -4,20 +4,30 @@ bound at desk scale and produces extremal witnesses for the certifiers.
 
 The search is a maximum-clique computation on the pairwise compatibility
 graph of [0,q-1]^n.  Hamming distance is invariant under translation of
-Z_q^n, so for the distance predicates every clique translates to one of the
-same size through the zero vector, and the maximum is searched only among
-cliques containing it.  Those cliques lie in the local graph: the zero
-vector and its neighbours N(0), the vectors whose Hamming weight satisfies
-the predicate.  Only that graph is built, with its vertices in enumeration
-order, so the rooted search runs the same tree as on the whole space under
-an order-preserving relabelling.  The intersection predicate is searched
-unrooted on the whole space.  The kernel bounds each node by a greedy
-colouring of its candidate set.  A second, lexicographic pass then fixes the
-reported witness: the lexicographically least clique of the proven maximum
-size, or of the target size when `target_size` stopped the search early.
-For the distance predicates that clique lies in the local graph too: the
-zero vector comes first in the enumeration and some clique of that size
-contains it, so the least one does.
+Z_q^n, so for the distance predicates only cliques through the zero vector
+are searched, in the local graph of 0 and its neighbours N(0) (the vectors
+of allowed weight), built in enumeration order.  The intersection predicate
+has no translation symmetry and builds the whole space.  On that graph one
+canonical root r_w = 0^(n-w) 1^w per weight w is searched, in ascending w,
+with the other members drawn from the vertices of weight >= w and the best
+size so far as the incumbent (isomorph rejection by canonical roots; McKay,
+J. Algorithms 1998).  This is exact:
+
+- Distances.  The stabiliser of 0 in S_q wr S_n permutes the coordinates
+  and the nonzero symbols of each coordinate, preserving distances and
+  weights.  It maps the member of least nonzero weight w of a clique
+  through 0 to r_w, and so the clique into {0, r_w} and the vertices of
+  weight >= w.  The roots (0, r_w) run over the allowed distances w.
+- Intersections.  S_n preserves intersection sizes.  A clique of two or
+  more sets has all weights >= lambda, and its least-weight member maps to
+  r_w.  The roots r_w run over w = lambda..n; the incumbent starts at 1.
+
+The kernel bounds each node by a greedy colouring of its candidate set.  A
+second, lexicographic pass on the same graph fixes the reported witness
+(so rooting changes only the node count): the least clique of the proven
+maximum size, or of the target size when `target_size` stopped the search
+early.  For the distance predicates it lies in the local graph, because the
+zero vector comes first and some clique of that size contains it.
 """
 
 from __future__ import annotations
@@ -135,25 +145,44 @@ def search_max(
 ) -> SearchResult:
     """Exact maximum family satisfying the pairwise predicate.
 
-    `_order` is a test hook permuting the candidate enumeration; the
-    maximum size is invariant under it (the witness canon is only
-    guaranteed for the identity order).
+    `_order` is a test hook permuting the candidate enumeration.  It takes
+    the reference path: the whole space, rooted only at the zero vector for
+    the distance predicates.  The maximum size is invariant under it (the
+    witness canon is only guaranteed for the identity order).
     """
     space_guard(problem.n, problem.q, max_space)
     vectors = enumerate_space(problem.n, problem.q)
     mode, m1, m2, mask = problem.kernel_args()
+    n = problem.n
     rooted = problem.predicate in _TRANSLATION_INVARIANT
+    weights = {0, *kernel.allowed_values(n, mode, m1, m2, mask)}
     if _order is not None:
         vectors = [vectors[i] for i in _order]
     elif rooted:
         # The zero vector (index 0) and its neighbours, in enumeration order.
-        weights = {0, *kernel.allowed_values(problem.n, mode, m1, m2, mask)}
-        vectors = [v for v in vectors if problem.n - v.count(0) in weights]
-    adj = kernel.adjacency(vectors, problem.n, mode, m1, m2, mask)
+        vectors = [v for v in vectors if n - v.count(0) in weights]
+    adj = kernel.adjacency(vectors, n, mode, m1, m2, mask)
     count = len(vectors)
     target = problem.target_size or 0
-    root = (vectors.index(bytes(problem.n)),) if rooted else ()
-    size, _, nodes = kernel.extend_max(adj, count, root, target)
+    if _order is not None:
+        # Reference path: translation rooting only.
+        root = (vectors.index(bytes(n)),) if rooted else ()
+        size, _, nodes = kernel.extend_max(adj, count, root, target)
+    else:
+        # One canonical root per weight, ascending (see the module docstring).
+        at_least = [0] * (n + 2)  # at_least[w]: the vertices of weight >= w
+        for i, v in enumerate(vectors):
+            at_least[n - v.count(0)] |= 1 << i
+        for w in range(n, -1, -1):
+            at_least[w] |= at_least[w + 1]
+        size, nodes = 1, 0
+        for w in sorted(weights - {0}) if rooted else range(problem.lam, n + 1):
+            if target and size >= target:
+                break
+            r = vectors.index(bytes(n - w) + b"\x01" * w)
+            prefix = (0, r) if rooted else (r,)
+            size, _, more = kernel.extend_max(adj, count, prefix, target, at_least[w], size)
+            nodes += more
     early = bool(target) and size >= target
     if early:
         # Report the target size itself, witnessed by the least clique of

@@ -90,6 +90,15 @@ def test_construct_unsupported_order_exits_3(capsys):
     assert code == 3 and report["outcome"] == "error"
 
 
+@pytest.mark.parametrize("kind", ["hadamard", "hadamard-plus-full"])
+def test_construct_hadamard_order_cap_before_primality(capsys, kind):
+    """4v-1 = 10**18 + 3 is prime; trial division on it would run for
+    minutes, so the desk-scale cap refuses v first."""
+    code, report, _ = run_cli(capsys, "construct", kind, "--v", "250000000000000001")
+    assert code == 2 and report["outcome"] == "hypothesis-violation"
+    assert "desk scale" in report["payload"]["error"]
+
+
 def test_construct_lambda_design_from_pg(tmp_path, capsys):
     out = tmp_path / "ld.json"
     code, report, _ = run_cli(
@@ -150,6 +159,28 @@ def test_certify_two_distance_fault_injection(tmp_path, capsys):
     assert code == 1 and report["outcome"] == "fail"
     names = {i["name"]: i for i in report["payload"]["identities"]}
     assert names["maximal_two_distance_relation"]["holds"] is False
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [(str(10**400), str(4 * 10**400)),
+     (f"2+{3 * 10**307}*sqrt(5)", f"2+{12 * 10**307}*sqrt(5)")],
+    ids=["rational", "quadratic"],
+)
+def test_certify_two_distance_values_beyond_float_range(tmp_path, capsys, a, b):
+    """Declared values whose float conversion overflows fail the coordinate
+    checks in the report; they never escape as a traceback."""
+    gram = tmp_path / "huge.json"
+    doc = {"n": 1, "N": 2, "a": a, "b": b, "gram": [["1", a], [a, "1"]],
+           "coords": [[0.0], [0.0]]}
+    gram.write_text(json.dumps(doc))
+    code, report, err = run_cli(capsys, "certify", "two-distance", "--gram", str(gram))
+    assert "Traceback" not in err and code in (1, 3)
+    if code == 1:
+        assert report["payload"]["verdict"] == "fail"
+        names = {i["name"]: i for i in report["payload"]["identities"]}
+        assert names["coordinate_axis_sums_vanish"]["holds"] is False
+        assert names["coordinate_norm_total"]["holds"] is False
 
 
 def test_certify_neumaier(capsys):

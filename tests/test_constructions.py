@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from basisbound.constructions import (
+    MAX_HADAMARD_V,
     GramTwoDistance,
     fano_plane,
     hadamard_design,
@@ -22,7 +23,7 @@ from basisbound.errors import (
     MalformedInputError,
     UnsupportedOrderError,
 )
-from basisbound.exactfield import inertia_psd_rank, rank
+from basisbound.exactfield import inertia_psd_rank, is_prime, rank
 from basisbound.families import (
     SetFamily,
     degrees,
@@ -75,6 +76,13 @@ def test_hadamard_design_small_orders():
     fam = hadamard_design(3)
     assert fam.n == 11 and set(fam.sizes()) == {5}
     assert intersection_profile(fam).common_lambda == 2
+
+
+def test_hadamard_design_order_cap():
+    last = max(v for v in range(1, MAX_HADAMARD_V + 1) if is_prime(4 * v - 1))
+    assert hadamard_design(last).n == 4 * last - 1
+    with pytest.raises(HypothesisViolationError, match="desk scale"):
+        hadamard_design(MAX_HADAMARD_V + 1)
 
 
 def test_hadamard_design_unsupported_order():

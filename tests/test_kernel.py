@@ -88,6 +88,36 @@ def test_rooted_extend_max_matches_reference():
         assert witness[0] == r and len(witness) == size and is_clique(adj, witness)
 
 
+def test_extend_max_candidates_and_floor_match_reference():
+    """With a candidate mask and an incumbent floor, extend_max returns the
+    largest clique through `prefix` whose other members lie in the mask, or
+    the floor and no witness when none beats it.  The reference searches the
+    subgraph induced by the prefix followed by the mask."""
+    for rng, count, adj in random_graphs(2718, 150):
+        if count == 0:
+            continue
+        r = rng.randrange(count)
+        prefix = (r,)
+        if adj[r] and rng.random() < 0.5:
+            prefix += (rng.choice([v for v in range(count) if (adj[r] >> v) & 1]),)
+        cand = rng.getrandbits(count)
+        keep = list(prefix) + [v for v in range(count) if (cand >> v) & 1 and v not in prefix]
+        sub = [0] * len(keep)
+        for a, u in enumerate(keep):
+            for b, v in enumerate(keep):
+                if (adj[u] >> v) & 1:
+                    sub[a] |= 1 << b
+        want = naive_kernel.extend_max(sub, len(keep), tuple(range(len(prefix))), 0, 0)[0]
+        floor = rng.randint(0, want + 1)
+        size, witness, _ = kernel.extend_max(adj, count, prefix, 0, cand, floor)
+        if want > floor:
+            assert size == want and len(witness) == size and is_clique(adj, witness)
+            assert witness[:len(prefix)] == prefix
+            assert all((cand >> v) & 1 for v in witness[len(prefix):])
+        else:
+            assert (size, witness) == (floor, None)
+
+
 def test_extend_max_target_stops_at_a_large_enough_clique():
     for rng, count, adj in random_graphs(99, 80):
         if count == 0:
@@ -130,13 +160,18 @@ def test_nearly_complete_graph_has_no_recursion_limit():
 @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 2), (4, 3), (2, 6)])
 def test_adjacency_matches_reference(q, n):
     """Whole space, shuffled, and a seeded random subset in enumeration
-    order, as the search's vertex filter passes it."""
+    order, as the search's vertex filter passes it.  The distance sets
+    include every value and every value but one, which take the
+    complement path."""
     rng = random.Random(q * 100 + n)
     vectors = [bytes(v) for v in product(range(q), repeat=n)]
     cases = [(kernel.MODE_DIST_EQ, m, 0, 0) for m in range(n + 2)]
     cases += [(kernel.MODE_INTERSECT, m, 0, 0) for m in range(n + 2)]
     cases += [(kernel.MODE_DIST_MOD, m1, m2, 0) for m2 in (2, 3, 5) for m1 in range(m2)]
     cases += [(kernel.MODE_DIST_SET, 0, 0, rng.getrandbits(n + 1) & ~1) for _ in range(4)]
+    every = (1 << (n + 1)) - 1
+    cases += [(kernel.MODE_DIST_SET, 0, 0, every & ~(1 << d)) for d in range(n + 1)]
+    cases += [(kernel.MODE_DIST_SET, 0, 0, every)]
     shuffled = list(vectors)
     rng.shuffle(shuffled)
     subset = [v for v in vectors if rng.random() < 0.4]
@@ -179,17 +214,23 @@ def test_search_matches_reference_search(q, n):
             assert got == naive_kernel.search(bounded), bounded
 
 
-@pytest.mark.parametrize("q,n", [(2, n) for n in range(1, 8)] + [(3, n) for n in range(1, 5)])
+@pytest.mark.parametrize(
+    "q,n", [(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 6)]
+)
 def test_local_graph_matches_full_space(q, n):
-    """The rooted predicates search only the zero vector and its
-    neighbours; the identity `_order` takes the full-space path.  Both give
-    the same report, node count included, with and without a target."""
+    """The default path searches one canonical root per weight, on the local
+    graph for the distance predicates; the identity `_order` takes the
+    translation-rooted full-space path.  Both give the same maximum, witness
+    and exhaustiveness; only the node count differs.  The two largest
+    spaces are checked without a target."""
     identity = list(range(q**n))
     for problem in problems(n, q):
         size = search_max(problem, _order=identity).max_size
-        for target in (None, 1, size):
+        for target in (None, 1, size) if q**n <= 128 else (None,):
             bounded = replace(problem, target_size=target)
-            assert search_max(bounded) == search_max(bounded, _order=identity), bounded
+            got, want = search_max(bounded), search_max(bounded, _order=identity)
+            assert (got.max_size, got.witness.vectors, got.exhaustive) == \
+                (want.max_size, want.witness.vectors, want.exhaustive), bounded
 
 
 def test_order_hook_roots_at_the_zero_vector():

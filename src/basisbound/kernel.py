@@ -41,9 +41,7 @@ def adjacency(vectors, n, mode, m1, m2, allowed_mask):
     differs from vectors[i][c], or for intersections both symbols are
     nonzero) is added into vertical bit counters: planes[k] holds bit k of
     every vertex's running count.  The row is then the union of the
-    equality masks of the allowed values; every count lies in [0, n], so
-    when most values are allowed it is the complement of the union over the
-    disallowed ones.
+    equality masks of the allowed values.
     """
     count = len(vectors)
     full = (1 << count) - 1
@@ -59,9 +57,6 @@ def adjacency(vectors, n, mode, m1, m2, allowed_mask):
     else:
         adds = [[full ^ mask for mask in col] for col in symbols]
     values = allowed_values(n, mode, m1, m2, allowed_mask)
-    invert = full if 2 * len(values) > n + 1 else 0
-    if invert:
-        values = [d for d in range(n + 1) if d not in values]
     rows = []
     for i, v in enumerate(vectors):
         planes = []
@@ -82,7 +77,7 @@ def adjacency(vectors, n, mode, m1, m2, allowed_mask):
                 for k, plane in enumerate(planes):
                     eq &= plane if (d >> k) & 1 else ~plane
                 row |= eq
-        rows.append((row ^ invert) & ~(1 << i))
+        rows.append(row & ~(1 << i))
     return rows
 
 

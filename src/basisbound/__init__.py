@@ -12,14 +12,12 @@ from .bounds import (
 )
 from .certifier import (
     Certificate,
-    ReducedPoly,
     certify_independence,
     hamming_tight_certificate,
     indicator_poly,
     mod_design_certificate,
     neumaier_check,
     ryser_decompose,
-    sphere_reduce,
     two_distance_certificate,
 )
 from .constructions import (

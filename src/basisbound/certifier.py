@@ -27,7 +27,6 @@ from .errors import (
     InternalInconsistencyError,
     MalformedInputError,
     SingularSystemError,
-    UnsupportedDegreeError,
 )
 from .exactfield import (
     QQ,
@@ -121,11 +120,11 @@ def certify_independence(b: ExactMatrix) -> Certificate:
     if not b.is_square():
         raise MalformedInputError("independence certificate needs a square matrix")
     det = determinant(b)
-    rk = rank(b)
     size = b.nrows
-    ident = Identity(
-        "determinant_nonzero", b.field.format(det), "0", not b.field.is_zero(det)
-    )
+    singular = b.field.is_zero(det)
+    # A nonsingular square matrix has full rank, so only det = 0 needs rank.
+    rk = rank(b) if singular else size
+    ident = Identity("determinant_nonzero", b.field.format(det), "0", not singular)
     return _certificate(
         kind="independence",
         hypotheses=[("squareMatrix", True)],
@@ -278,92 +277,6 @@ def hamming_tight_certificate(system: VectorSystem, p, lam: int) -> Certificate:
         Identity("tightness_congruence", ctx.format(left), ctx.format(right), left == right)
     )
     return _certificate("hamming-tight", hypotheses, coefficients, identities, details)
-
-
-# ---------------------------------------------------------------------------
-# Degree-2 polynomials restricted to the unit sphere
-
-
-@dataclass(frozen=True)
-class ReducedPoly:
-    """Polynomial supported on the monomials of total degree at most 2 and
-    degree at most 1 in the first variable (the unit-sphere reduction of a
-    degree-2 polynomial)."""
-
-    n: int
-    coeffs: tuple  # ((exponent tuple, scalar), ...) sorted by exponents
-
-    def coeff_dict(self):
-        return dict(self.coeffs)
-
-    def evaluate_float(self, point) -> float:
-        total = 0.0
-        for expo, c in self.coeffs:
-            term = float(c)
-            for x, e in zip(point, expo):
-                term *= x**e
-            total += term
-        return total
-
-
-def reduced_monomials(n: int):
-    """All exponent tuples of total degree <= 2 with degree <= 1 in the
-    first variable; there are n(n+3)/2 of them."""
-    zero = (0,) * n
-    out = [zero]
-    for i in range(n):
-        out.append(_unit(n, i))
-    for i in range(n):
-        for j in range(i, n):
-            expo = list(zero)
-            expo[i] += 1
-            expo[j] += 1
-            if expo[0] <= 1:
-                out.append(tuple(expo))
-    return out
-
-
-def _unit(n, i):
-    expo = [0] * n
-    expo[i] = 1
-    return tuple(expo)
-
-
-def sphere_reduce(poly: dict, n: int, field=QQ) -> ReducedPoly:
-    """Rewrite a degree-<=2 polynomial modulo the unit-sphere relation
-    x_1^2 = 1 - sum_{i>=2} x_i^2; the result agrees with the input on the
-    whole unit sphere."""
-    coeffs = {}
-    for expo, c in poly.items():
-        expo = tuple(expo)
-        if len(expo) != n:
-            raise MalformedInputError(f"exponent tuple {expo} is not length {n}")
-        if any(e < 0 for e in expo):
-            raise MalformedInputError(f"negative exponent in {expo}")
-        if sum(expo) > 2:
-            raise UnsupportedDegreeError(f"monomial {expo} has degree above 2")
-        c = field.coerce(c)
-        if expo in coeffs:
-            c = field.add(coeffs[expo], c)
-        coeffs[expo] = c
-
-    leading = (2,) + (0,) * (n - 1)
-    if leading in coeffs:
-        c = coeffs.pop(leading)
-        zero = (0,) * n
-        coeffs[zero] = field.add(coeffs.get(zero, field.zero), c)
-        for i in range(1, n):
-            expo = list(zero)
-            expo[i] = 2
-            expo = tuple(expo)
-            coeffs[expo] = field.sub(coeffs.get(expo, field.zero), c)
-
-    cleaned = {e: c for e, c in coeffs.items() if not field.is_zero(c)}
-    support = set(reduced_monomials(n))
-    for expo in cleaned:
-        if expo not in support:
-            raise InternalInconsistencyError(f"reduced support leak: {expo}")
-    return ReducedPoly(n, tuple(sorted(cleaned.items())))
 
 
 # ---------------------------------------------------------------------------

@@ -50,9 +50,25 @@ from .errors import (
 )
 from .exactfield import QQ, ExactMatrix, PrimeFieldCtx, QuadExtField, scalar_field
 from .families import SetFamily, VectorSystem
-from .search import SearchProblem, search_max
+from .search import (
+    PRED_DIST_CONST,
+    PRED_DIST_MOD,
+    PRED_DIST_SET,
+    PRED_INTERSECT_CONST,
+    SearchProblem,
+    search_max,
+)
 
 EXIT_CODES = {"pass": 0, "fail": 1, "not-applicable": 2, "hypothesis-violation": 2, "error": 3}
+
+
+# --pred choice -> search predicate, in the order argparse lists the choices.
+PREDICATES = {
+    "dist-set": PRED_DIST_SET,
+    "dist-mod": PRED_DIST_MOD,
+    "dist-const": PRED_DIST_CONST,
+    "inter-const": PRED_INTERSECT_CONST,
+}
 
 
 class UsageError(Exception):
@@ -151,7 +167,7 @@ def build_parser() -> Parser:
     p.add_argument(
         "--pred",
         required=True,
-        choices=["dist-set", "dist-mod", "dist-const", "inter-const"],
+        choices=list(PREDICATES),
     )
     p.add_argument("--lambda", dest="lam", type=int)
     p.add_argument("--p", type=int)
@@ -310,12 +326,7 @@ def _run_bound(args):
 
 
 def _run_search(args):
-    predicate = {
-        "dist-set": "distance-set-within",
-        "dist-mod": "distance-mod",
-        "dist-const": "distance-constant",
-        "inter-const": "intersection-constant",
-    }[args.pred]
+    predicate = PREDICATES[args.pred]
     allowed = None
     if args.dist_list is not None:
         try:

@@ -34,6 +34,7 @@ from .families import SetFamily, distance_set, intersection_profile
 
 MAX_PLANE_ORDER = 31
 MAX_HADAMARD_V = 128  # 4v-1 <= 511 points: the plus-full check takes seconds
+MAX_JOHNSON_M = 24  # m(m-1)/2 <= 276 vectors: the Gram check takes seconds
 
 
 @dataclass
@@ -376,6 +377,8 @@ def johnson_pairs(m: int) -> GramTwoDistance:
     is all of R^m; the affine hull has dimension m-1."""
     if m < 4:
         raise HypothesisViolationError(f"need m >= 4: {m}")
+    if m > MAX_JOHNSON_M:
+        raise HypothesisViolationError(f"dimension above desk scale: {m} > {MAX_JOHNSON_M}")
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     count = len(pairs)
     rows = []

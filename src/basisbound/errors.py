@@ -25,10 +25,6 @@ class UnsupportedOrderError(BasisBoundError):
     """Requested design order outside the implemented constructions."""
 
 
-class UnsupportedDegreeError(BasisBoundError):
-    """Polynomial degree outside the supported range."""
-
-
 class SingularSystemError(BasisBoundError):
     """Linear system has no unique solution; carries the matrix rank."""
 

@@ -485,15 +485,6 @@ class ExactMatrix:
     def row(self, i):
         return list(self.entries[i])
 
-    def column(self, j):
-        return [r[j] for r in self.entries]
-
-    def transpose(self):
-        return ExactMatrix(
-            self.field,
-            [[self.entries[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-        )
-
     def is_square(self):
         return self.nrows == self.ncols
 

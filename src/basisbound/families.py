@@ -48,9 +48,6 @@ class VectorSystem:
     def __len__(self):
         return len(self.vectors)
 
-    def packed(self) -> list[bytes]:
-        return [bytes(v) for v in self.vectors]
-
     def to_set_family(self) -> "SetFamily":
         if self.q != 2:
             raise MalformedInputError("characteristic vectors require q = 2")

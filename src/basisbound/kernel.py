@@ -15,26 +15,12 @@ once (Tomita & Seki, MCQ, 2003; San Segundo et al., BBMC, 2011).
 
 from __future__ import annotations
 
-MODE_DIST_EQ = 0
-MODE_DIST_MOD = 1
-MODE_DIST_SET = 2
-MODE_INTERSECT = 3
 
-
-def allowed_values(n, mode, m1, m2, allowed_mask):
-    """The pair values in [0, n] for which the predicate holds."""
-    if mode == MODE_DIST_MOD:
-        return [d for d in range(n + 1) if d % m2 == m1]
-    if mode == MODE_DIST_SET:
-        return [d for d in range(n + 1) if (allowed_mask >> d) & 1]
-    return [m1] if 0 <= m1 <= n else []
-
-
-def adjacency(vectors, n, mode, m1, m2, allowed_mask):
+def adjacency(vectors, n, values, intersect):
     """Compatibility bitmask per vector: bit j of row i is set when the
-    predicate holds for the pair (i, j), i != j.  `vectors` is a list of
-    length-n byte strings; `allowed_mask` encodes a distance set for
-    MODE_DIST_SET.
+    pair value of (i, j), i != j, is one of `values`.  `vectors` is a list
+    of length-n byte strings; the pair value is their Hamming distance, or
+    the size of their supports' intersection when `intersect` is true.
 
     Row i is computed for all j at once.  For each coordinate c, the mask of
     the vertices that add one to the pair value with vertex i (their symbol
@@ -51,12 +37,11 @@ def adjacency(vectors, n, mode, m1, m2, allowed_mask):
         bit = 1 << j
         for c, s in enumerate(v):
             symbols[c][s] |= bit
-    if mode == MODE_INTERSECT:
+    if intersect:
         # Both entries nonzero: nothing is added where vertex i has a zero.
         adds = [[0] + [full ^ col[0]] * (q - 1) for col in symbols]
     else:
         adds = [[full ^ mask for mask in col] for col in symbols]
-    values = allowed_values(n, mode, m1, m2, allowed_mask)
     rows = []
     for i, v in enumerate(vectors):
         planes = []

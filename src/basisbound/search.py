@@ -42,6 +42,9 @@ from .families import VectorSystem
 
 DEFAULT_MAX_SPACE = 1 << 20
 MAX_SPACE_ENV = "EXTREMAL_MAX_SPACE"
+# Cap on the vertices of the graph actually built, whose rows take
+# count^2 / 8 bytes: at most 512 MiB.
+MAX_GRAPH_VERTICES = 1 << 16
 
 PRED_DIST_SET = "distance-set-within"
 PRED_DIST_MOD = "distance-mod"
@@ -49,7 +52,6 @@ PRED_DIST_CONST = "distance-constant"
 PRED_INTERSECT_CONST = "intersection-constant"
 
 _PREDICATES = (PRED_DIST_SET, PRED_DIST_MOD, PRED_DIST_CONST, PRED_INTERSECT_CONST)
-_TRANSLATION_INVARIANT = (PRED_DIST_SET, PRED_DIST_MOD, PRED_DIST_CONST)
 
 
 @dataclass(frozen=True)
@@ -91,17 +93,14 @@ class SearchProblem:
                     "intersection predicate is defined for set families (q = 2)"
                 )
 
-    def kernel_args(self):
-        if self.predicate == PRED_DIST_CONST:
-            return kernel.MODE_DIST_EQ, self.lam, 0, 0
+    def pair_values(self) -> list[int]:
+        """The pair values (distances, or intersection sizes) in [0, n]
+        for which the predicate holds, ascending."""
         if self.predicate == PRED_DIST_MOD:
-            return kernel.MODE_DIST_MOD, self.lam % self.p, self.p, 0
-        if self.predicate == PRED_INTERSECT_CONST:
-            return kernel.MODE_INTERSECT, self.lam, 0, 0
-        mask = 0
-        for d in self.allowed:
-            mask |= 1 << d
-        return kernel.MODE_DIST_SET, 0, 0, mask
+            return [d for d in range(self.n + 1) if d % self.p == self.lam % self.p]
+        if self.predicate == PRED_DIST_SET:
+            return sorted(set(self.allowed))
+        return [self.lam] if self.lam <= self.n else []
 
 
 @dataclass(frozen=True)
@@ -152,17 +151,21 @@ def search_max(
     """
     space_guard(problem.n, problem.q, max_space)
     vectors = enumerate_space(problem.n, problem.q)
-    mode, m1, m2, mask = problem.kernel_args()
     n = problem.n
-    rooted = problem.predicate in _TRANSLATION_INVARIANT
-    weights = {0, *kernel.allowed_values(n, mode, m1, m2, mask)}
+    rooted = problem.predicate != PRED_INTERSECT_CONST
+    values = problem.pair_values()
+    weights = {0, *values}
     if _order is not None:
         vectors = [vectors[i] for i in _order]
     elif rooted:
         # The zero vector (index 0) and its neighbours, in enumeration order.
         vectors = [v for v in vectors if n - v.count(0) in weights]
-    adj = kernel.adjacency(vectors, n, mode, m1, m2, mask)
     count = len(vectors)
+    if count > MAX_GRAPH_VERTICES:
+        raise ResourceGuardError(
+            f"search graph of {count} vertices exceeds the guard {MAX_GRAPH_VERTICES}"
+        )
+    adj = kernel.adjacency(vectors, n, values, not rooted)
     target = problem.target_size or 0
     if _order is not None:
         # Reference path: translation rooting only.

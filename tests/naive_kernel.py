@@ -6,28 +6,17 @@ are given to it."""
 
 from itertools import product
 
-MODE_DIST_EQ = 0
-MODE_DIST_MOD = 1
-MODE_DIST_SET = 2
-MODE_INTERSECT = 3
 
-
-def adjacency(vectors, n, mode, m1, m2, allowed_mask):
+def adjacency(vectors, n, values, intersect):
     count = len(vectors)
     rows = [0] * count
     for i in range(count):
         for j in range(i + 1, count):
-            if mode == MODE_INTERSECT:
+            if intersect:
                 value = sum(1 for a, b in zip(vectors[i], vectors[j]) if a and b)
             else:
                 value = sum(1 for a, b in zip(vectors[i], vectors[j]) if a != b)
-            if mode == MODE_DIST_EQ or mode == MODE_INTERSECT:
-                ok = value == m1
-            elif mode == MODE_DIST_MOD:
-                ok = value % m2 == m1
-            else:
-                ok = (allowed_mask >> value) & 1
-            if ok:
+            if value in values:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return rows
@@ -105,7 +94,15 @@ def search(problem):
     the lexicographically least maximum family, or with a target size the
     first family of that size."""
     vectors = [bytes(v) for v in product(range(problem.q), repeat=problem.n)]
-    adj = adjacency(vectors, problem.n, *problem.kernel_args())
+    # The predicate decoded from the problem's own fields.
+    if problem.predicate == "distance-mod":
+        values = [d for d in range(problem.n + 1) if d % problem.p == problem.lam % problem.p]
+    elif problem.predicate == "distance-set-within":
+        values = problem.allowed
+    else:
+        values = [problem.lam]
+    intersect = problem.predicate == "intersection-constant"
+    adj = adjacency(vectors, problem.n, values, intersect)
     target = problem.target_size or 0
     size, witness, _ = extend_max(adj, len(vectors), (), 0, target)
     early = bool(target) and size >= target

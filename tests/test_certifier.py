@@ -1,7 +1,6 @@
 """Certificates: independence, tight families, two-distance sets, design
 congruences and the Ryser dichotomy."""
 
-import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -14,9 +13,7 @@ from basisbound.certifier import (
     indicator_poly,
     mod_design_certificate,
     neumaier_check,
-    reduced_monomials,
     ryser_decompose,
-    sphere_reduce,
     two_distance_certificate,
 )
 from basisbound.constructions import (
@@ -30,11 +27,7 @@ from basisbound.constructions import (
     projective_plane,
     schlafli27,
 )
-from basisbound.errors import (
-    HypothesisViolationError,
-    MalformedInputError,
-    UnsupportedDegreeError,
-)
+from basisbound.errors import HypothesisViolationError, MalformedInputError
 from basisbound.exactfield import QQ, ExactMatrix, PrimeFieldCtx, QuadExt
 from basisbound.families import SetFamily, VectorSystem
 
@@ -191,75 +184,6 @@ def test_hamming_tight_congruence_sides_differ_for_failing_parameters():
     left = q * lam % p
     right = (n * (q - 1) + 1) % p
     assert left != right
-
-
-# -- sphere reduction ---------------------------------------------------------
-
-
-def test_sphere_reduce_leading_square():
-    n = 4
-    reduced = sphere_reduce({(2, 0, 0, 0): 1}, n)
-    expected = {(0, 0, 0, 0): Fraction(1)}
-    for i in range(1, n):
-        expo = [0] * n
-        expo[i] = 2
-        expected[tuple(expo)] = Fraction(-1)
-    assert reduced.coeff_dict() == expected
-
-
-def test_sphere_reduce_constant_unchanged():
-    reduced = sphere_reduce({(0, 0, 0): 3}, 3)
-    assert reduced.coeff_dict() == {(0, 0, 0): Fraction(3)}
-
-
-def test_sphere_reduce_binomial_square():
-    # (x1 + x2)^2 keeps the cross term, drops x1^2 into 1 - sum x_i^2
-    n = 3
-    reduced = sphere_reduce({(2, 0, 0): 1, (1, 1, 0): 2, (0, 2, 0): 1}, n)
-    assert reduced.coeff_dict() == {
-        (0, 0, 0): Fraction(1),
-        (1, 1, 0): Fraction(2),
-        (0, 0, 2): Fraction(-1),
-    }
-
-
-def test_sphere_reduce_degree_guard():
-    with pytest.raises(UnsupportedDegreeError):
-        sphere_reduce({(3, 0): 1}, 2)
-
-
-def test_reduced_monomial_count_matches_two_distance_max():
-    from basisbound.bounds import two_distance_max
-
-    for n in range(1, 9):
-        assert len(reduced_monomials(n)) == two_distance_max(n)
-
-
-def test_sphere_reduce_agrees_on_random_unit_vectors():
-    """Reduction preserves values on the sphere: 100 random unit vectors."""
-    rng = random.Random(7)
-    for n in (2, 4, 8):
-        poly = {}
-        for _ in range(12):
-            expo = [0] * n
-            for _ in range(rng.randint(0, 2)):
-                expo[rng.randrange(n)] += 1
-            key = tuple(expo)
-            poly[key] = poly.get(key, Fraction(0)) + Fraction(
-                rng.randint(-9, 9), rng.randint(1, 9)
-            )
-        reduced = sphere_reduce(poly, n)
-        for _ in range(100):
-            v = [rng.gauss(0, 1) for _ in range(n)]
-            norm = math.sqrt(sum(x * x for x in v))
-            v = [x / norm for x in v]
-            direct = sum(
-                float(c) * math.prod(x**e for x, e in zip(v, expo))
-                for expo, c in poly.items()
-            )
-            assert abs(direct - reduced.evaluate_float(v)) <= 1e-9 * max(
-                1.0, abs(direct)
-            )
 
 
 # -- two-distance certificates ------------------------------------------------

@@ -99,6 +99,13 @@ def test_construct_hadamard_order_cap_before_primality(capsys, kind):
     assert "desk scale" in report["payload"]["error"]
 
 
+def test_construct_johnson_dimension_cap(capsys):
+    """m = 100 would build and check a 4950 x 4950 Fraction Gram matrix."""
+    code, report, _ = run_cli(capsys, "construct", "johnson", "--m", "100")
+    assert code == 2 and report["outcome"] == "hypothesis-violation"
+    assert "desk scale" in report["payload"]["error"]
+
+
 def test_construct_lambda_design_from_pg(tmp_path, capsys):
     out = tmp_path / "ld.json"
     code, report, _ = run_cli(
@@ -294,6 +301,16 @@ def test_search_guard_exit(capsys, monkeypatch):
         capsys, "search", "--n", "3", "--q", "2", "--pred", "dist-const", "--lambda", "2"
     )
     assert code == 3 and report["outcome"] == "error"
+
+
+def test_search_graph_guard_exit(capsys):
+    """2^17 vectors pass the space guard, but the whole-space graph for the
+    intersection predicate would take 2 GiB of rows."""
+    code, report, _ = run_cli(
+        capsys, "search", "--n", "17", "--q", "2", "--pred", "inter-const", "--lambda", "1"
+    )
+    assert code == 3 and report["outcome"] == "error"
+    assert report["payload"]["kind"] == "ResourceGuardError"
 
 
 def test_verify_filter(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from basisbound.constructions import (
     MAX_HADAMARD_V,
+    MAX_JOHNSON_M,
     GramTwoDistance,
     fano_plane,
     hadamard_design,
@@ -200,6 +201,8 @@ def test_johnson_pairs_coordinates_match_gram():
 def test_johnson_pairs_guard():
     with pytest.raises(HypothesisViolationError):
         johnson_pairs(3)
+    with pytest.raises(HypothesisViolationError, match="desk scale"):
+        johnson_pairs(MAX_JOHNSON_M + 1)
 
 
 def test_maximal_sets_hit_the_bound():

@@ -163,17 +163,17 @@ def test_adjacency_matches_reference(q, n):
     order, as the search's vertex filter passes it."""
     rng = random.Random(q * 100 + n)
     vectors = [bytes(v) for v in product(range(q), repeat=n)]
-    cases = [(kernel.MODE_DIST_EQ, m, 0, 0) for m in range(n + 2)]
-    cases += [(kernel.MODE_INTERSECT, m, 0, 0) for m in range(n + 2)]
-    cases += [(kernel.MODE_DIST_MOD, m1, m2, 0) for m2 in (2, 3, 5) for m1 in range(m2)]
-    cases += [(kernel.MODE_DIST_SET, 0, 0, rng.getrandbits(n + 1) & ~1) for _ in range(4)]
+    cases = [([m], intersect) for m in range(n + 2) for intersect in (False, True)]
+    cases += [([d for d in range(n + 1) if d % p == r], False) for p in (2, 3, 5) for r in range(p)]
+    cases += [([d for d in range(n + 1) if rng.random() < 0.5], intersect)
+              for intersect in (False, True) for _ in range(4)]
     shuffled = list(vectors)
     rng.shuffle(shuffled)
     subset = [v for v in vectors if rng.random() < 0.4]
     for order in (vectors, shuffled, subset):
-        for mode, m1, m2, mask in cases:
-            assert kernel.adjacency(order, n, mode, m1, m2, mask) == \
-                naive_kernel.adjacency(order, n, mode, m1, m2, mask)
+        for values, intersect in cases:
+            assert kernel.adjacency(order, n, values, intersect) == \
+                naive_kernel.adjacency(order, n, values, intersect)
 
 
 def problems(n, q):

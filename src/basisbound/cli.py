@@ -75,9 +75,16 @@ class UsageError(Exception):
     pass
 
 
+class HelpRequested(Exception):
+    """--help at any level: the help text, for the report, not argparse's exit."""
+
+
 class Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+    def print_help(self, file=None):
+        raise HelpRequested(self.format_help())
 
 
 def build_parser() -> Parser:
@@ -173,7 +180,6 @@ def build_parser() -> Parser:
     p.add_argument("--p", type=int)
     p.add_argument("--dist-list", help="comma-separated allowed distances for dist-set")
     p.add_argument("--target", type=int, help="stop early once this size is reached")
-    p.add_argument("--max-space", type=int, help="override the search-space guard")
     p.add_argument("--out")
 
     p = sub.add_parser("verify", help="run the acceptance suite")
@@ -342,7 +348,7 @@ def _run_search(args):
         allowed=allowed,
         target_size=args.target,
     )
-    result = search_max(problem, max_space=args.max_space)
+    result = search_max(problem)
     payload = result.to_json_dict()
     inputs = [args.n, args.q, predicate, args.lam, args.p, allowed, args.target]
     return "pass", payload, inputs, payload
@@ -378,19 +384,20 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     started = time.monotonic()
+    args = error_message = None
+    inputs = argv
     try:
         args = parser.parse_args(argv)
         outcome, payload, inputs, document = dispatch(args)
-        error_message = None
+    except HelpRequested as exc:
+        outcome, payload = "pass", {"help": str(exc)}
     except HypothesisViolationError as exc:
         outcome = "hypothesis-violation"
         payload = {"error": str(exc), "clause": exc.clause}
-        inputs = argv
         error_message = str(exc)
     except (UsageError, BasisBoundError, ValueError, OSError) as exc:
         outcome = "error"
         payload = _error_payload(exc)
-        inputs = argv
         error_message = str(exc)
 
     report = {

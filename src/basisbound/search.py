@@ -3,15 +3,17 @@ or intersection predicates: the brute-force oracle that validates every
 bound at desk scale and produces extremal witnesses for the certifiers.
 
 The search is a maximum-clique computation on the pairwise compatibility
-graph of [0,q-1]^n.  Hamming distance is invariant under translation of
-Z_q^n, so for the distance predicates only cliques through the zero vector
-are searched, in the local graph of 0 and its neighbours N(0) (the vectors
-of allowed weight), built in enumeration order.  The intersection predicate
-has no translation symmetry and builds the whole space.  On that graph one
-canonical root r_w = 0^(n-w) 1^w per weight w is searched, in ascending w,
-with the other members drawn from the vertices of weight >= w and the best
-size so far as the incumbent (isomorph rejection by canonical roots; McKay,
-J. Algorithms 1998).  This is exact:
+graph of the vectors of [0,q-1]^n whose weight lies in a set W, built in
+enumeration (byte) order.  Hamming distance is invariant under translation
+of Z_q^n, so for the distance predicates only cliques through the zero
+vector are searched: W is {0} and the allowed distances, the zero vector
+and its neighbours N(0).  For the intersection predicate W is {0} and
+[lambda, n]: every member of a clique of two or more sets has weight at
+least lambda, and the zero vector is the one-set family when none has.  On
+that graph one canonical root r_w = 0^(n-w) 1^w per weight w is searched,
+in ascending w, with the other members drawn from the vertices of weight
+>= w and the best size so far as the incumbent (isomorph rejection by
+canonical roots; McKay, J. Algorithms 1998).  This is exact:
 
 - Distances.  The stabiliser of 0 in S_q wr S_n permutes the coordinates
   and the nonzero symbols of each coordinate, preserving distances and
@@ -26,25 +28,28 @@ The kernel bounds each node by a greedy colouring of its candidate set.  A
 second, lexicographic pass on the same graph fixes the reported witness
 (so rooting changes only the node count): the least clique of the proven
 maximum size, or of the target size when `target_size` stopped the search
-early.  For the distance predicates it lies in the local graph, because the
-zero vector comes first and some clique of that size contains it.
+early.  It is the least clique of the whole space too: for the distance
+predicates the zero vector comes first and some clique of that size
+contains it, and for the intersection predicate the sets of weight below
+lambda meet no other set in lambda points.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from itertools import product
+from math import comb
 
 from . import kernel
 from .errors import HypothesisViolationError, MalformedInputError, ResourceGuardError
 from .families import VectorSystem
 
-DEFAULT_MAX_SPACE = 1 << 20
-MAX_SPACE_ENV = "EXTREMAL_MAX_SPACE"
-# Cap on the vertices of the graph actually built, whose rows take
-# count^2 / 8 bytes: at most 512 MiB.
+# Cap on the vertices of the graph, whose rows take count^2 / 8 bytes: at
+# most 512 MiB.
 MAX_GRAPH_VERTICES = 1 << 16
+# Cap on the coordinates.  The graph's vectors take count * n bytes and the
+# adjacency's symbol masks n * q * count bits, so the two caps keep both
+# well within the rows' 512 MiB.
+MAX_COORDINATES = 64
 
 PRED_DIST_SET = "distance-set-within"
 PRED_DIST_MOD = "distance-mod"
@@ -67,8 +72,9 @@ class SearchProblem:
     def __post_init__(self):
         if self.n < 1:
             raise MalformedInputError(f"coordinate count must be positive: {self.n}")
-        if self.q < 2:
-            raise MalformedInputError(f"alphabet size must be at least 2: {self.q}")
+        if not 2 <= self.q <= 256:
+            # Vectors are byte strings.
+            raise MalformedInputError(f"alphabet size must be in [2, 256]: {self.q}")
         if self.predicate not in _PREDICATES:
             raise MalformedInputError(f"unknown predicate {self.predicate!r}")
         if self.target_size is not None and self.target_size < 1:
@@ -119,80 +125,66 @@ class SearchResult:
         }
 
 
-def space_guard(n: int, q: int, max_space: int | None = None) -> int:
-    """Resolve the search-space guard: explicit argument, then the
-    EXTREMAL_MAX_SPACE environment override, then the 2^20 default."""
-    if max_space is None:
-        env = os.environ.get(MAX_SPACE_ENV, "")
-        max_space = int(env) if env else DEFAULT_MAX_SPACE
-    size = q**n
-    if size > max_space:
-        raise ResourceGuardError(
-            f"space size {q}^{n} = {size} exceeds the guard {max_space}"
-        )
-    return size
+def enumerate_space(n: int, q: int, weights) -> list[bytes]:
+    """The vectors of [0,q-1]^n whose weight (number of nonzero entries) is
+    in `weights`, in byte order.  They are grown one coordinate at a time
+    from the prefixes that can still reach such a weight, so no layer is
+    longer than the result, and each layer stays sorted."""
+    vectors = [b""]
+    nonzero = [bytes((s,)) for s in range(1, q)]
+    for c in range(n):
+        left = n - c - 1
+        # The weights of the prefixes that can still end at one in `weights`.
+        reach = {w - j for w in weights for j in range(left + 1)}
+        grown = []
+        for v in vectors:
+            k = c - v.count(0)
+            if k in reach:
+                grown.append(v + b"\x00")
+            if k + 1 in reach:
+                grown += [v + s for s in nonzero]
+        vectors = grown
+    return vectors
 
 
-def enumerate_space(n: int, q: int) -> list[bytes]:
-    return [bytes(v) for v in product(range(q), repeat=n)]
-
-
-def search_max(
-    problem: SearchProblem,
-    max_space: int | None = None,
-    _order=None,
-) -> SearchResult:
-    """Exact maximum family satisfying the pairwise predicate.
-
-    `_order` is a test hook permuting the candidate enumeration.  It takes
-    the reference path: the whole space, rooted only at the zero vector for
-    the distance predicates.  The maximum size is invariant under it (the
-    witness canon is only guaranteed for the identity order).
-    """
-    space_guard(problem.n, problem.q, max_space)
-    vectors = enumerate_space(problem.n, problem.q)
-    n = problem.n
+def search_max(problem: SearchProblem) -> SearchResult:
+    """Exact maximum family satisfying the pairwise predicate.  A graph past
+    MAX_GRAPH_VERTICES, counted as the sum of C(n,w) (q-1)^w over W, or past
+    MAX_COORDINATES raises ResourceGuardError before any vector is built."""
+    n, q = problem.n, problem.q
+    if n > MAX_COORDINATES:
+        raise ResourceGuardError(f"{n} coordinates exceed the guard {MAX_COORDINATES}")
     rooted = problem.predicate != PRED_INTERSECT_CONST
     values = problem.pair_values()
-    weights = {0, *values}
-    if _order is not None:
-        vectors = [vectors[i] for i in _order]
-    elif rooted:
-        # The zero vector (index 0) and its neighbours, in enumeration order.
-        vectors = [v for v in vectors if n - v.count(0) in weights]
-    count = len(vectors)
+    weights = {0, *values} if rooted else {0, *range(problem.lam, n + 1)}
+    # At most q^n <= 2^512, since n is capped.
+    count = sum(comb(n, w) * (q - 1) ** w for w in weights)
     if count > MAX_GRAPH_VERTICES:
         raise ResourceGuardError(
             f"search graph of {count} vertices exceeds the guard {MAX_GRAPH_VERTICES}"
         )
+    vectors = enumerate_space(n, q, weights)
     adj = kernel.adjacency(vectors, n, values, not rooted)
     target = problem.target_size or 0
-    if _order is not None:
-        # Reference path: translation rooting only.
-        root = (vectors.index(bytes(n)),) if rooted else ()
-        size, _, nodes = kernel.extend_max(adj, count, root, target)
-    else:
-        # One canonical root per weight, ascending (see the module docstring).
-        at_least = [0] * (n + 2)  # at_least[w]: the vertices of weight >= w
-        for i, v in enumerate(vectors):
-            at_least[n - v.count(0)] |= 1 << i
-        for w in range(n, -1, -1):
-            at_least[w] |= at_least[w + 1]
-        size, nodes = 1, 0
-        for w in sorted(weights - {0}) if rooted else range(problem.lam, n + 1):
-            if target and size >= target:
-                break
-            r = vectors.index(bytes(n - w) + b"\x01" * w)
-            prefix = (0, r) if rooted else (r,)
-            size, _, more = kernel.extend_max(adj, count, prefix, target, at_least[w], size)
-            nodes += more
+    # One canonical root per weight, ascending (see the module docstring).
+    at_least = [0] * (n + 2)  # at_least[w]: the vertices of weight >= w
+    for i, v in enumerate(vectors):
+        at_least[n - v.count(0)] |= 1 << i
+    for w in range(n, -1, -1):
+        at_least[w] |= at_least[w + 1]
+    size, nodes = 1, 0
+    for w in sorted(weights - {0}):
+        if target and size >= target:
+            break
+        r = vectors.index(bytes(n - w) + b"\x01" * w)
+        prefix = (0, r) if rooted else (r,)
+        size, _, more = kernel.extend_max(adj, count, prefix, target, at_least[w], size)
+        nodes += more
     early = bool(target) and size >= target
     if early:
         # Report the target size itself, witnessed by the least clique of
         # that size.
         size = target
     witness = kernel.first_clique_of_size(adj, count, size)
-    system = VectorSystem.from_lists(
-        problem.n, problem.q, [tuple(vectors[i]) for i in sorted(witness)]
-    )
+    system = VectorSystem.from_lists(n, q, [tuple(vectors[i]) for i in sorted(witness)])
     return SearchResult(size, system, nodes, not early)

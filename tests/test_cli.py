@@ -7,6 +7,7 @@ import io
 import json
 import operator
 import tempfile
+import time
 from itertools import product
 from pathlib import Path
 
@@ -296,21 +297,66 @@ def test_search_whole_space_clique(capsys):
 
 
 def test_search_guard_exit(capsys, monkeypatch):
-    monkeypatch.setenv("EXTREMAL_MAX_SPACE", "4")
+    """The intersection graph for n = 20 has 2^20 - 1 vertices: refused from
+    its size, before any vector is generated."""
+    def fail(*args):
+        raise AssertionError("enumerate_space called")
+
+    monkeypatch.setattr("basisbound.search.enumerate_space", fail)
     code, report, _ = run_cli(
-        capsys, "search", "--n", "3", "--q", "2", "--pred", "dist-const", "--lambda", "2"
+        capsys, "search", "--n", "20", "--q", "2", "--pred", "inter-const", "--lambda", "1"
     )
     assert code == 3 and report["outcome"] == "error"
+    assert report["payload"]["kind"] == "ResourceGuardError"
 
 
 def test_search_graph_guard_exit(capsys):
-    """2^17 vectors pass the space guard, but the whole-space graph for the
-    intersection predicate would take 2 GiB of rows."""
+    """The intersection predicate keeps every set of weight >= lambda: for
+    n = 17, lambda = 1 that is 2^17 - 1 sets, whose rows would take 2 GiB."""
     code, report, _ = run_cli(
         capsys, "search", "--n", "17", "--q", "2", "--pred", "inter-const", "--lambda", "1"
     )
     assert code == 3 and report["outcome"] == "error"
     assert report["payload"]["kind"] == "ResourceGuardError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--pred", "dist-mod", "--lambda", "1", "--p", "2"],
+        ["--pred", "inter-const", "--lambda", "50000000"],
+    ],
+)
+def test_search_huge_n_guard_exit(capsys, argv):
+    """n = 10^8 is refused at once, without a weight list of length n or a
+    number of 10^8 digits."""
+    started = time.monotonic()
+    code, report, _ = run_cli(capsys, "search", "--n", "100000000", "--q", "2", *argv)
+    assert time.monotonic() - started < 0.5
+    assert code == 3 and report["outcome"] == "error"
+    assert report["payload"]["kind"] == "ResourceGuardError"
+
+
+def test_search_small_graph_of_a_large_space(capsys):
+    """2^21 vectors, but only the zero vector and the all-ones vector are
+    at distance 21 from the origin."""
+    code, report, _ = run_cli(
+        capsys, "search", "--n", "21", "--q", "2", "--pred", "dist-const", "--lambda", "21"
+    )
+    assert code == 0
+    payload = report["payload"]
+    assert payload["max_size"] == 2
+    assert payload["witness"]["vectors"] == [[0] * 21, [1] * 21]
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["search", "--help"], ["certify", "ryser", "--help"]]
+)
+def test_help_is_a_json_report(capsys, argv):
+    code, report, err = run_cli(capsys, *argv)
+    assert code == 0 and report["outcome"] == "pass" and report["command"] == argv
+    assert report["payload"]["help"].startswith("usage: basisbound")
+    assert err == ""
 
 
 def test_verify_filter(capsys):
@@ -330,6 +376,8 @@ def test_usage_errors_exit_3(capsys):
         ["search", "--n", "x", "--q", "2", "--pred", "dist-const", "--lambda", "2"],
         ["certify", "ryser", "--family", "/nonexistent.json", "--lambda", "1"],
         ["search", "--n", "3", "--q", "2", "--pred", "dist-const", "--lambda", "2", "--jobs", "2"],
+        ["search", "--n", "3", "--q", "2", "--pred", "dist-const", "--lambda", "2", "--max-space", "8"],
+        ["search", "--n", "2", "--q", "300", "--pred", "dist-const", "--lambda", "1"],
     ):
         code, report, err = run_cli(capsys, *argv)
         assert code == 3, argv

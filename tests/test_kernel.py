@@ -1,12 +1,14 @@
 """Search kernel against the naive reference kernel in tests/naive_kernel.py:
 adjacency, the colour-bounded maximum search (rooted and unrooted), the
 lexicographic witness pass, and whole searches on every predicate over the
-small spaces, with and without a target size."""
+small spaces, with and without a target size, also against the full-space
+reference in tests/full_space.py."""
 
 import random
 from dataclasses import replace
 from itertools import combinations, product
 
+import full_space
 import naive_kernel
 import pytest
 
@@ -213,34 +215,35 @@ def test_search_matches_reference_search(q, n):
     "q,n", [(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 6)]
 )
 def test_local_graph_matches_full_space(q, n):
-    """The default path searches one canonical root per weight, on the local
-    graph for the distance predicates; the identity `_order` takes the
-    translation-rooted full-space path.  Both give the same maximum, witness
-    and exhaustiveness; only the node count differs.  The two largest
-    spaces are checked without a target."""
-    identity = list(range(q**n))
+    """The search builds only the vertices of its weight set and searches
+    one canonical root per weight; the reference in tests/full_space.py
+    searches the whole space, rooted only by translation.  Both give the
+    same maximum, witness and exhaustiveness; only the node count differs.
+    The two largest spaces are checked without a target."""
     for problem in problems(n, q):
-        size = search_max(problem, _order=identity).max_size
+        size = full_space.search(problem)[0]
         for target in (None, 1, size) if q**n <= 128 else (None,):
             bounded = replace(problem, target_size=target)
-            got, want = search_max(bounded), search_max(bounded, _order=identity)
+            got = search_max(bounded)
             assert (got.max_size, got.witness.vectors, got.exhaustive) == \
-                (want.max_size, want.witness.vectors, want.exhaustive), bounded
+                full_space.search(bounded), bounded
 
 
 def test_order_hook_roots_at_the_zero_vector():
-    """Under a permuted enumeration the rooted predicates root at wherever
-    the zero vector landed, and the maximum is unchanged."""
+    """Under a permuted enumeration the full-space reference roots the
+    distance predicates at wherever the zero vector landed, and the maximum
+    is unchanged."""
     rng = random.Random(5)
     for problem in (
         SearchProblem(4, 2, PRED_DIST_CONST, lam=2),
         SearchProblem(5, 2, PRED_DIST_SET, allowed=(1, 2)),
         SearchProblem(3, 3, PRED_DIST_MOD, lam=1, p=2),
         SearchProblem(5, 2, PRED_INTERSECT_CONST, lam=1),
+        SearchProblem(4, 2, PRED_DIST_MOD, lam=2, p=3),
     ):
         baseline = naive_kernel.search(problem)[0]
+        assert search_max(problem).max_size == baseline
         order = list(range(problem.q**problem.n))
-        for _ in range(4):
+        for _ in range(5):
             rng.shuffle(order)
-            result = search_max(problem, _order=list(order))
-            assert result.max_size == baseline
+            assert full_space.search(problem, order)[0] == baseline

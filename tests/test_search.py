@@ -1,7 +1,6 @@
 """Exhaustive search engine: exactness against subset enumeration,
 determinism, guards and the distance-count maximum."""
 
-import random
 from itertools import combinations, product
 
 import pytest
@@ -15,6 +14,7 @@ from basisbound.search import (
     PRED_DIST_SET,
     PRED_INTERSECT_CONST,
     SearchProblem,
+    enumerate_space,
     search_max,
 )
 
@@ -96,16 +96,6 @@ def test_witness_is_lexicographically_least():
     assert result.witness.vectors == best
 
 
-def test_order_permutation_hook_preserves_max_size():
-    problem = SearchProblem(4, 2, PRED_DIST_MOD, lam=2, p=3)
-    baseline = search_max(problem).max_size
-    rng = random.Random(17)
-    order = list(range(16))
-    for _ in range(5):
-        rng.shuffle(order)
-        assert search_max(problem, _order=list(order)).max_size == baseline
-
-
 def test_target_size_early_exit():
     problem = SearchProblem(4, 2, PRED_DIST_MOD, lam=2, p=3, target_size=2)
     result = search_max(problem)
@@ -128,24 +118,38 @@ def test_exceptional_lambda_reaches_n_plus_1():
     assert result.max_size == 4
 
 
-def test_space_guard():
-    with pytest.raises(ResourceGuardError):
-        search_max(SearchProblem(30, 2, PRED_DIST_CONST, lam=2))
-    # explicit override admits the space
-    result = search_max(
-        SearchProblem(3, 2, PRED_DIST_CONST, lam=2), max_space=8
-    )
-    assert result.max_size == 4
-    with pytest.raises(ResourceGuardError):
-        search_max(SearchProblem(3, 2, PRED_DIST_CONST, lam=2), max_space=7)
+@pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (4, 3), (5, 2)])
+def test_enumerate_space_by_weight(q, n):
+    """Every weight set gives the vectors of those weights in enumeration
+    order."""
+    space = [bytes(v) for v in product(range(q), repeat=n)]
+    for r in range(n + 2):
+        for weights in combinations(range(n + 1), r):
+            want = [v for v in space if n - v.count(0) in weights]
+            assert enumerate_space(n, q, set(weights)) == want
 
 
-def test_space_guard_env_override(monkeypatch):
-    monkeypatch.setenv("EXTREMAL_MAX_SPACE", "7")
-    with pytest.raises(ResourceGuardError):
-        search_max(SearchProblem(3, 2, PRED_DIST_CONST, lam=2))
-    monkeypatch.setenv("EXTREMAL_MAX_SPACE", "8")
-    assert search_max(SearchProblem(3, 2, PRED_DIST_CONST, lam=2)).max_size == 4
+def test_graph_guard_before_enumeration(monkeypatch):
+    """A graph of more than 2^16 vertices, or of vectors of more than 64
+    coordinates, is refused from its size alone, and a small graph of a
+    large space is searched."""
+    def fail(*args):
+        raise AssertionError("enumerate_space called")
+
+    monkeypatch.setattr("basisbound.search.enumerate_space", fail)
+    for problem in (
+        SearchProblem(17, 2, PRED_INTERSECT_CONST, lam=1),
+        SearchProblem(30, 2, PRED_DIST_CONST, lam=15),
+        SearchProblem(64, 2, PRED_DIST_MOD, lam=1, p=2),
+        SearchProblem(64, 256, PRED_DIST_CONST, lam=64),
+        SearchProblem(65, 2, PRED_DIST_CONST, lam=65),
+    ):
+        with pytest.raises(ResourceGuardError):
+            search_max(problem)
+    monkeypatch.undo()
+    result = search_max(SearchProblem(64, 2, PRED_DIST_CONST, lam=64))
+    assert result.max_size == 2
+    assert result.witness.vectors == ((0,) * 64, (1,) * 64)
 
 
 def test_problem_validation():
@@ -159,6 +163,9 @@ def test_problem_validation():
         SearchProblem(3, 2, PRED_DIST_SET, allowed=(0, 1))
     with pytest.raises(errors.MalformedInputError):
         SearchProblem(3, 2, "bogus")
+    with pytest.raises(errors.MalformedInputError, match="256"):
+        SearchProblem(2, 257, PRED_DIST_CONST, lam=1)
+    assert search_max(SearchProblem(1, 256, PRED_DIST_CONST, lam=1)).max_size == 256
 
 
 def test_max_with_distance_count_matches_brute_force():

@@ -239,11 +239,10 @@ def test_order_hook_roots_at_the_zero_vector():
         SearchProblem(5, 2, PRED_DIST_SET, allowed=(1, 2)),
         SearchProblem(3, 3, PRED_DIST_MOD, lam=1, p=2),
         SearchProblem(5, 2, PRED_INTERSECT_CONST, lam=1),
-        SearchProblem(4, 2, PRED_DIST_MOD, lam=2, p=3),
     ):
         baseline = naive_kernel.search(problem)[0]
         assert search_max(problem).max_size == baseline
         order = list(range(problem.q**problem.n))
-        for _ in range(5):
+        for _ in range(4):
             rng.shuffle(order)
             assert full_space.search(problem, order)[0] == baseline

@@ -1,8 +1,10 @@
 """Exhaustive search engine: exactness against subset enumeration,
 determinism, guards and the distance-count maximum."""
 
+import random
 from itertools import combinations, product
 
+import full_space
 import pytest
 
 from basisbound.acceptance import max_with_distance_count
@@ -94,6 +96,18 @@ def test_witness_is_lexicographically_least():
             best = combo
             break  # combinations enumerate lexicographically
     assert result.witness.vectors == best
+
+
+def test_order_permutation_hook_preserves_max_size():
+    """The maximum search_max finds is the full-space reference's maximum
+    under any enumeration order."""
+    problem = SearchProblem(4, 2, PRED_DIST_MOD, lam=2, p=3)
+    baseline = search_max(problem).max_size
+    rng = random.Random(17)
+    order = list(range(16))
+    for _ in range(5):
+        rng.shuffle(order)
+        assert full_space.search(problem, list(order))[0] == baseline
 
 
 def test_target_size_early_exit():

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import HypothesisViolationError
+from .errors import HypothesisViolationError, MalformedInputError
 from .exactfield import is_prime
 
 
@@ -116,6 +116,8 @@ def check_mod_distance_hypotheses(n: int, q: int, p: int, lam: int) -> ModDistan
         raise HypothesisViolationError(f"alphabet size must exceed 1: {q}")
     if lam <= 0:
         raise HypothesisViolationError(f"lambda must be positive: {lam}")
+    if p < 2:
+        raise MalformedInputError(f"modulus must be at least 2: {p}")
     return ModDistanceHypotheses(
         n=n,
         q=q,

@@ -4,12 +4,13 @@ meet a linear-algebra bound with equality, and exact verification of the
 identities that equality forces (modular distance congruences, the maximal
 two-distance relation, design congruences, the Ryser degree dichotomy).
 
-Every scalar goes through the field objects of `exactfield`, and every
-coefficient vector comes from its one elimination engine (`solve_linear`,
-`invert`).  Member functions are evaluated from the data directly: the
-hamming-tight members at a vector are its Hamming distances minus lambda,
-the two-distance members are products of Gram-entry differences.  Both
-sides of every identity are computed by independent code paths and
+Every scalar goes through the field objects of `exactfield`.  Coefficient
+vectors come from its one elimination engine (`solve_linear`), except
+Ryser's, which are stated in closed form and checked by exact
+re-substitution.  Member functions are evaluated from the data directly:
+the hamming-tight members at a vector are its Hamming distances minus
+lambda, the two-distance members are products of Gram-entry differences.
+Both sides of every identity are computed by independent code paths and
 compared exactly; floating point appears only in the optional
 coordinate-level checks of two-distance sets.
 """
@@ -22,12 +23,7 @@ from fractions import Fraction
 
 from .bounds import two_distance_max
 from .constructions import GramTwoDistance
-from .errors import (
-    HypothesisViolationError,
-    InternalInconsistencyError,
-    MalformedInputError,
-    SingularSystemError,
-)
+from .errors import HypothesisViolationError, MalformedInputError, SingularSystemError
 from .exactfield import (
     QQ,
     ExactMatrix,
@@ -35,7 +31,7 @@ from .exactfield import (
     QuadExt,
     determinant,
     inertia_psd_rank,
-    invert,
+    invert,  # noqa: F401  unused here; perfbench/tracing.py hooks it at this name
     rank,
     scalar_field,
     solve_linear,
@@ -568,17 +564,37 @@ def mod_design_certificate(family: SetFamily, p) -> Certificate:
 # Ryser dichotomy
 
 
+def _fisher_kappa(members, excess, lam: int, n: int) -> list[Fraction]:
+    """kappa = lambda A^{-1} 1 for the incidence matrix A (row j is member
+    j), in closed form.  With d_j = |A_j| - lambda > 0 (`excess`), constant
+    intersection gives A A^T = lambda J + diag(d_j) (Fisher's identity), and
+    Sherman-Morrison gives kappa_i = lambda sigma_i / (1 + lambda S), where
+    sigma_i = sum_{j : i in A_j} 1/d_j and S = sum_j 1/d_j.  Both sums are
+    kept as integers over the common multiple of the d_j."""
+    scale = math.lcm(*excess)
+    weights = [scale // d for d in excess]
+    sigma = [0] * n
+    for member, w in zip(members, weights):
+        for i in member:
+            sigma[i] += w
+    denom = scale + lam * sum(weights)
+    return [Fraction(lam * s, denom) for s in sigma]
+
+
 def ryser_decompose(family: SetFamily, lam: int) -> Certificate:
     """Exact decomposition certificate for n sets on [n] with constant
     pairwise intersection lambda and all sizes above lambda.
 
-    Expands each coordinate monomial x_i over the member polynomials
-    <x, v_j> - lambda plus a constant, i.e. solves A^T theta_i = e_i with
-    kappa_i = lambda * sum_j theta_{i,j}; verifies the degree identity
-    r_i = kappa_i(n-1) + 1, the per-point and global reciprocal sums, that
-    at most two kappa values occur, and classifies the family: one value
-    gives the uniform regular alternative, two values give degrees r, r'
-    with kappa + kappa' = 1 and r + r' = n + 1.
+    Those hypotheses make the incidence matrix A nonsingular (Fisher's
+    identity), so each coordinate monomial x_i has one expansion over the
+    member polynomials <x, v_j> - lambda plus a constant, and that constant
+    is kappa_i = lambda (A^{-1} 1)_i.  kappa is stated in closed form
+    (`_fisher_kappa`) and checked by one integer re-substitution over the
+    incidences.  Then verifies the degree identity r_i = kappa_i(n-1) + 1,
+    the per-point and global reciprocal sums, that at most two kappa values
+    occur, and classifies the family: one value gives the uniform regular
+    alternative, two values give degrees r, r' with kappa + kappa' = 1 and
+    r + r' = n + 1.
     """
     n = family.n
     if lam <= 0:
@@ -613,38 +629,18 @@ def ryser_decompose(family: SetFamily, lam: int) -> Certificate:
         ("sizesAboveLambda", True),
     ]
 
-    incidence = ExactMatrix(
-        QQ, [[masks[j] >> i & 1 for i in range(n)] for j in range(n)]
-    )
-    try:
-        theta = invert(incidence)  # theta[i][j] expands x_i over member j
-    except SingularSystemError as exc:
-        raise InternalInconsistencyError(
-            f"incidence matrix is singular (rank {exc.rank}); "
-            "input cannot satisfy the stated hypotheses"
-        ) from exc
-
-    point_degrees = degrees(family)
     members = [[t for t in range(n) if m >> t & 1] for m in masks]
+    point_degrees = degrees(family)
+    kappa = _fisher_kappa(members, [s - lam for s in sizes], lam, n)
 
     identities = []
-    # Coefficient-level re-substitution, in integers over the incidences:
-    # with row i of theta cleared to integers c_j by its common denominator
-    # D, the linear part of sum_j c_j (<x, v_j> - lambda) must be exactly
-    # D x_i.  The constant part vanishes by the choice of kappa_i.
-    kappa = []
-    mismatches = 0
-    for i, row in enumerate(theta.entries):
-        denom = math.lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (denom // x.denominator) for x in row]
-        kappa.append(Fraction(lam * sum(ints), denom))
-        linear = [0] * n
-        for j, c in enumerate(ints):
-            if c:
-                for t in members[j]:
-                    linear[t] += c
-        linear[i] -= denom
-        mismatches += sum(1 for v in linear if v)
+    # Re-substitution, in integers over the incidences: with kappa cleared
+    # to integers c by its common denominator D, A kappa = lambda 1 reads
+    # sum_{i in A_j} c_i = lambda D for every member j.  A is nonsingular,
+    # so this pins kappa to lambda A^{-1} 1.
+    denom = math.lcm(*(k.denominator for k in kappa))
+    ints = [k.numerator * (denom // k.denominator) for k in kappa]
+    mismatches = sum(1 for m in members if sum(ints[i] for i in m) != lam * denom)
     identities.append(
         Identity("monomial_resubstitution_mismatches", str(mismatches), "0", mismatches == 0)
     )
@@ -660,12 +656,11 @@ def ryser_decompose(family: SetFamily, lam: int) -> Certificate:
     )
 
     recip = [Fraction(1, s - lam) for s in sizes]
-    point_sums = []
-    expected_point = []
-    for i in range(n):
-        total = sum(recip[j] for j in range(n) if masks[j] >> i & 1)
-        point_sums.append(total)
-        expected_point.append(1 / (1 - kappa[i]) if kappa[i] != 1 else None)
+    point_sums = [0] * n
+    for member, x in zip(members, recip):
+        for i in member:
+            point_sums[i] += x
+    expected_point = [1 / (1 - k) if k != 1 else None for k in kappa]
     point_ok = all(
         e is not None and s == e for s, e in zip(point_sums, expected_point)
     )

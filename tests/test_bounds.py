@@ -9,7 +9,7 @@ from basisbound.bounds import (
     two_distance_max,
     uniform_two_intersection_conjecture,
 )
-from basisbound.errors import HypothesisViolationError
+from basisbound.errors import HypothesisViolationError, MalformedInputError
 
 
 @pytest.mark.parametrize(
@@ -89,3 +89,6 @@ def test_mod_distance_check_guards():
         check_mod_distance_hypotheses(3, 1, 3, 1)
     with pytest.raises(HypothesisViolationError):
         check_mod_distance_hypotheses(3, 2, 3, 0)
+    for p in (1, 0, -3):  # p = 0 used to raise ZeroDivisionError
+        with pytest.raises(MalformedInputError, match="modulus must be at least 2"):
+            check_mod_distance_hypotheses(3, 2, p, 1)

@@ -28,7 +28,7 @@ from basisbound.constructions import (
     schlafli27,
 )
 from basisbound.errors import HypothesisViolationError, MalformedInputError
-from basisbound.exactfield import QQ, ExactMatrix, PrimeFieldCtx, QuadExt
+from basisbound.exactfield import QQ, ExactMatrix, PrimeFieldCtx, QuadExt, solve_linear
 from basisbound.families import SetFamily, VectorSystem
 
 
@@ -436,21 +436,41 @@ def test_ryser_near_pencil_gives_alternative_b(m):
 
 
 def test_ryser_resubstitution_catches_a_perturbed_expansion(monkeypatch):
-    """Move 1/7 between two entries of one row of theta: every kappa, and so
-    every identity read off the kappas, is unchanged, and only the integer
-    re-substitution theta A = I sees the fault."""
+    """Move 1/7 between the kappas of points 5 and 6: every member through
+    exactly one of them now sums to lambda -+ 1/7, and the integer
+    re-substitution A kappa = lambda 1 counts each such member once."""
     import basisbound.certifier as certifier
 
-    real_invert = certifier.invert
+    real_kappa = certifier._fisher_kappa
 
-    def perturbed_invert(m):
-        theta = real_invert(m)
-        theta.entries[2][5] += Fraction(1, 7)
-        theta.entries[2][6] -= Fraction(1, 7)
-        return theta
+    def perturbed_kappa(*args):
+        kappa = real_kappa(*args)
+        kappa[5] += Fraction(1, 7)
+        kappa[6] -= Fraction(1, 7)
+        return kappa
 
-    monkeypatch.setattr(certifier, "invert", perturbed_invert)
-    cert = ryser_decompose(projective_plane(3), 1)
-    assert cert.identity("monomial_resubstitution_mismatches").left != "0"
+    monkeypatch.setattr(certifier, "_fisher_kappa", perturbed_kappa)
+    plane = projective_plane(3)
+    cert = ryser_decompose(plane, 1)
+    split = sum(1 for m in plane.masks if (m >> 5 & 1) != (m >> 6 & 1))
+    assert cert.identity("monomial_resubstitution_mismatches").left == str(split) != "0"
     assert cert.verdict == "fail"
-    assert [i.name for i in cert.identities if not i.holds] == ["monomial_resubstitution_mismatches"]
+
+
+@pytest.mark.parametrize(
+    "family, lam",
+    [(projective_plane(r), 1) for r in (2, 3, 5, 7)]
+    + [(_pg2_over_gf4(), 1)]
+    + [(near_pencil(m), 1) for m in (4, 12, 40)]
+    + [(lambda_design_type1(fano_plane(), 0), 2)],
+    ids=["pg2", "pg3", "pg5", "pg7", "pg4", "near_pencil4", "near_pencil12", "near_pencil40",
+         "fano_lambda2"],
+)
+def test_ryser_kappa_matches_elimination(family, lam):
+    """The closed-form kappa equals the solution of A kappa = lambda 1 by
+    the elimination engine, A the incidence matrix (row j is member j)."""
+    n = family.n
+    incidence = ExactMatrix(QQ, [[m >> i & 1 for i in range(n)] for m in family.masks])
+    cert = ryser_decompose(family, lam)
+    assert cert.passed
+    assert [Fraction(k) for k in cert.coefficients] == solve_linear(incidence, [lam] * n)

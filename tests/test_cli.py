@@ -67,6 +67,22 @@ def test_construct_and_certify_roundtrip(tmp_path, capsys):
     assert report["payload"]["details"]["alternative"] == "A"
 
 
+def test_certify_ryser_at_plane_order_cap(tmp_path, capsys):
+    """PG(2,31), the largest plane `construct pg` builds (n = 993), is
+    certified: kappa is stated in closed form and re-substituted over the
+    incidences, with no n x n elimination."""
+    plane = tmp_path / "pg31.json"
+    code, _, _ = run_cli(capsys, "construct", "pg", "--r", "31", "--out", str(plane))
+    assert code == 0
+    start = time.perf_counter()
+    code, report, _ = run_cli(capsys, "certify", "ryser", "--family", str(plane), "--lambda", "1")
+    assert time.perf_counter() - start < 5.0
+    assert code == 0 and report["outcome"] == "pass"
+    details = report["payload"]["details"]
+    assert details["n"] == 993 and details["alternative"] == "A"
+    assert details["kappa_values"] == ["1/32"] and details["r"] == "32"
+
+
 def test_construct_report_sorts_sets(capsys):
     code, report, _ = run_cli(capsys, "construct", "fano")
     assert code == 0
@@ -378,6 +394,7 @@ def test_usage_errors_exit_3(capsys):
         ["search", "--n", "3", "--q", "2", "--pred", "dist-const", "--lambda", "2", "--jobs", "2"],
         ["search", "--n", "3", "--q", "2", "--pred", "dist-const", "--lambda", "2", "--max-space", "8"],
         ["search", "--n", "2", "--q", "300", "--pred", "dist-const", "--lambda", "1"],
+        ["bound", "mod-distance-check", "--n", "3", "--q", "2", "--p", "0", "--lambda", "1"],
     ):
         code, report, err = run_cli(capsys, *argv)
         assert code == 3, argv

@@ -36,7 +36,7 @@ from .exactfield import (
     scalar_field,
     solve_linear,
 )
-from .families import SetFamily, VectorSystem, degrees, hamming_distance
+from .families import SetFamily, VectorSystem, degrees, hamming_distance, set_bits
 
 FLOAT_TOLERANCE = 1e-9
 
@@ -178,9 +178,11 @@ def hamming_tight_certificate(system: VectorSystem, p, lam: int) -> Certificate:
             f"lambda = {lam} is zero mod {p_value}", clause="lambdaNonzero"
         )
     vectors = system.vectors
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            d = hamming_distance(vectors[i], vectors[j])
+    member_count = len(vectors)
+    dist = [[0] * member_count for _ in vectors]
+    for i in range(member_count):
+        for j in range(i + 1, member_count):
+            d = dist[i][j] = dist[j][i] = hamming_distance(vectors[i], vectors[j])
             if d % p_value != lam_res:
                 raise HypothesisViolationError(
                     f"distance {d} between members {i} and {j} is not "
@@ -209,10 +211,7 @@ def hamming_tight_certificate(system: VectorSystem, p, lam: int) -> Certificate:
             "hamming-tight", hypotheses, [], [], details, not_applicable=True
         )
 
-    member_count = len(vectors)
-    evaluation = ExactMatrix(
-        ctx, [[hamming_distance(f, h) - lam for f in vectors] for h in vectors]
-    )
+    evaluation = ExactMatrix(ctx, [[d - lam for d in row] for row in dist])
     coefficients: list[str] = []
     try:
         alpha = solve_linear(evaluation, [ctx.one] * member_count)
@@ -329,14 +328,9 @@ def two_distance_certificate(gram: GramTwoDistance) -> Certificate:
 
     one = field.one
     target = field.mul(field.sub(one, a), field.sub(one, b))
-    evaluation_rows = []
-    for s in range(count):
-        row = []
-        for m in range(count):
-            g = gram.gram.entries[s][m]
-            row.append(field.mul(field.sub(g, a), field.sub(g, b)))
-        evaluation_rows.append(row)
-    evaluation = ExactMatrix(field, evaluation_rows)
+    entries = gram.gram.entries
+    product = {g: field.mul(field.sub(g, a), field.sub(g, b)) for g in set().union(*entries)}
+    evaluation = ExactMatrix(field, [[product[g] for g in r] for r in entries])
 
     off_nonzero = sum(
         1
@@ -629,7 +623,7 @@ def ryser_decompose(family: SetFamily, lam: int) -> Certificate:
         ("sizesAboveLambda", True),
     ]
 
-    members = [[t for t in range(n) if m >> t & 1] for m in masks]
+    members = [set_bits(m) for m in masks]
     point_degrees = degrees(family)
     kappa = _fisher_kappa(members, [s - lam for s in sizes], lam, n)
 

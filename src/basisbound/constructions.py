@@ -34,7 +34,7 @@ from .families import SetFamily, distance_set, intersection_profile
 
 MAX_PLANE_ORDER = 31
 MAX_HADAMARD_V = 128  # 4v-1 <= 511 points: the plus-full check takes seconds
-MAX_JOHNSON_M = 24  # m(m-1)/2 <= 276 vectors: the Gram check takes seconds
+MAX_JOHNSON_M = 24  # m(m-1)/2 <= 276 vectors: the Gram check takes under a second
 
 
 @dataclass
@@ -135,8 +135,10 @@ class GramTwoDistance:
         flat = [s for row in grid for s in row] + scalars
         if not all(isinstance(s, str) for s in flat):
             raise MalformedInputError("gram scalars must be strings")
-        field = scalar_field(flat)
-        gram = ExactMatrix(field, [[field.parse(s) for s in row] for row in grid])
+        literals = dict.fromkeys(flat)
+        field = scalar_field(literals)
+        value = {s: field.parse(s) for s in literals}
+        gram = ExactMatrix(field, [[value[s] for s in row] for row in grid])
         coords = doc.get("coords")
         if coords is not None:
             try:
@@ -148,8 +150,8 @@ class GramTwoDistance:
         return cls(
             n=n,
             count=count,
-            value_a=field.parse(scalars[0]),
-            value_b=field.parse(scalars[1]),
+            value_a=value[scalars[0]],
+            value_b=value[scalars[1]],
             gram=gram,
             coords=coords,
             affine_dim=doc.get("affine_dim"),

@@ -10,15 +10,18 @@ decides whether a set of scalars lives in Q or in Q(sqrt(d)).
 
 rank, determinant, solve_linear and invert share one Gauss-Jordan engine,
 `_eliminate`.  Over Q it runs fraction-free on integers (Bareiss 1968),
-after each row is cleared of denominators by their lcm; over F_p it runs on
-residues mod p, scaling each pivot to one.  Only Q(sqrt(d)), whose matrices
-here are at most 27x27, takes the engine's generic path through the field
-operations; the pivoted LDL^T of inertia_psd_rank is separate.
+after each row is cleared of denominators by their lcm, and solve_linear
+re-substitutes on integers too; over F_p it runs on residues mod p, scaling
+each pivot to one.  Only Q(sqrt(d)), whose matrices here are at most 27x27,
+takes the engine's generic path through the field operations.
+inertia_psd_rank runs the same fraction-free update on a symmetric matrix,
+pivoting on its diagonal.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -569,6 +572,12 @@ def _eliminate(rows, width, field=None, jordan=False):
     return rank, field.mul(sign, det), 1
 
 
+def _cleared(rows):
+    """(integer rows, scales): each row of Fractions times its lcm scale."""
+    scales = [math.lcm(*(x.denominator for x in r)) for r in rows]
+    return [[x.numerator * (s // x.denominator) for x in r] for r, s in zip(rows, scales)], scales
+
+
 def _reduce(m: ExactMatrix, rhs=None):
     """Eliminate M, augmented on the right by the rows of `rhs`; with `rhs`
     the elimination is Gauss-Jordan.  Over Q each row is first cleared of
@@ -582,8 +591,7 @@ def _reduce(m: ExactMatrix, rhs=None):
     field, width, jordan = m.field, m.ncols, rhs is not None
     rows = [r + rhs[i] if jordan else list(r) for i, r in enumerate(m.entries)]
     if field == QQ:
-        scales = [math.lcm(*(x.denominator for x in r)) for r in rows]
-        rows = [[x.numerator * (s // x.denominator) for x in r] for r, s in zip(rows, scales)]
+        rows, scales = _cleared(rows)
         rk, det, divisor = _eliminate(rows, width, jordan=jordan)
         det = Fraction(det, math.prod(scales))
     else:
@@ -626,12 +634,17 @@ def solve_linear(m: ExactMatrix, rhs):
     field = m.field
     rhs = [field.coerce(x) for x in rhs]
     x = [row[0] for row in _solve(m, [[v] for v in rhs])]
-    for i in range(m.nrows):
-        acc = field.zero
-        for j in range(m.ncols):
-            acc = field.add(acc, field.mul(m.entries[i][j], x[j]))
-        if not field.eq(acc, rhs[i]):
-            raise InternalInconsistencyError("solver re-substitution failed")
+    if field == QQ:
+        # On integers: with x = u / D over its common denominator D, each
+        # row [c | r] of [M | rhs] cleared of denominators must give c.u = D r.
+        denom = math.lcm(*(v.denominator for v in x))
+        u = [v.numerator * (denom // v.denominator) for v in x]
+        rows, _ = _cleared([r + [v] for r, v in zip(m.entries, rhs)])
+        holds = all(sum(map(operator.mul, r, u)) == denom * r[-1] for r in rows)
+    else:
+        holds = all(field.eq(sum(map(operator.mul, r, x)), v) for r, v in zip(m.entries, rhs))
+    if not holds:
+        raise InternalInconsistencyError("solver re-substitution failed")
     return x
 
 
@@ -643,43 +656,36 @@ def invert(m: ExactMatrix) -> ExactMatrix:
 
 
 def inertia_psd_rank(g: ExactMatrix):
-    """Pivoted exact LDL^T on a symmetric matrix over an ordered field.
-
-    Returns (is_psd, rank).  Pivots are taken from the diagonal; if only an
-    all-zero diagonal remains while off-diagonal entries survive, the matrix
-    is indefinite and the remaining rank is computed by plain elimination.
+    """(is_psd, rank) of a symmetric matrix over an ordered field, by
+    fraction-free symmetric elimination: each step pivots on the first
+    remaining nonzero diagonal entry d and sets every remaining entry to
+    (d a_ij - a_ip a_pj) / prev, an exact division (Bareiss 1968).  The
+    LDL^T pivot is d / prev, so all are positive iff every d is.  Over Q the
+    matrix is first scaled by the lcm of its denominators, which keeps its
+    inertia, and the loop runs on integers.  If only an all-zero diagonal
+    remains while off-diagonal entries survive, the matrix is indefinite and
+    the remaining rank is computed by plain elimination.
     """
     field = g.field
     if not getattr(field, "ordered", False):
         raise MalformedInputError("inertia requires an ordered field (Q or Q(sqrt d))")
     if not g.is_symmetric():
         raise MalformedInputError("inertia requires a symmetric matrix")
-    n = g.nrows
-    a = [g.row(i) for i in range(n)]
-    remaining = list(range(n))
-    pivot_signs = []
-    while True:
-        pivot = None
-        for k in remaining:
-            if not field.is_zero(a[k][k]):
-                pivot = k
-                break
-        if pivot is None:
-            break
-        d = a[pivot][pivot]
-        pivot_signs.append(field.sign(d))
-        remaining.remove(pivot)
-        col = {i: a[i][pivot] for i in remaining}
-        for i in remaining:
-            if field.is_zero(col[i]):
-                continue
-            factor = field.div(col[i], d)
-            for j in remaining:
-                a[i][j] = field.sub(a[i][j], field.mul(factor, col[j]))
-    residue_nonzero = any(
-        not field.is_zero(a[i][j]) for i in remaining for j in remaining
-    )
-    if residue_nonzero:
-        block = [[a[i][j] for j in remaining] for i in remaining]
-        return False, len(pivot_signs) + rank(ExactMatrix(field, block))
-    return all(s > 0 for s in pivot_signs), len(pivot_signs)
+    if field == QQ:
+        scale = math.lcm(*(x.denominator for r in g.entries for x in r))
+        rows = [[x.numerator * (scale // x.denominator) for x in r] for r in g.entries]
+        divide = operator.floordiv
+    else:
+        rows = [g.row(i) for i in range(g.nrows)]
+        divide = operator.truediv
+    positive, pivots, prev = True, 0, 1
+    while (k := next((i for i, r in enumerate(rows) if r[i]), None)) is not None:
+        top = rows.pop(k)
+        d = top.pop(k)
+        heads = [r.pop(k) for r in rows]
+        rows = [[divide(d * x - h * y, prev) for x, y in zip(r, top)] for r, h in zip(rows, heads)]
+        positive = positive and field.sign(d) > 0
+        pivots, prev = pivots + 1, d
+    if any(x for r in rows for x in r):
+        return False, pivots + rank(ExactMatrix(field, rows))
+    return positive, pivots

@@ -179,12 +179,23 @@ def intersection_profile(family: SetFamily) -> IntersectionProfile:
     return IntersectionProfile(tuple(sizes), common)
 
 
+def set_bits(mask: int) -> list[int]:
+    """0-based indices of the set bits of `mask`, ascending; one step per
+    set bit, not per ground point."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def degrees(family: SetFamily) -> list[int]:
     """d_i = number of member sets containing point i, for i in [n]."""
-    out = []
-    for i in range(family.n):
-        bit = 1 << i
-        out.append(sum(1 for m in family.masks if m & bit))
+    out = [0] * family.n
+    for m in family.masks:
+        for i in set_bits(m):
+            out[i] += 1
     return out
 
 

@@ -237,12 +237,17 @@ def test_two_distance_mutated_gram_fails_relation():
 
 
 def test_two_distance_single_mutated_entry_fails():
-    doc = schlafli27().to_json_dict()
-    doc["gram"][0][1] = "1/3"
-    doc["gram"][1][0] = "1/3"
-    cert = two_distance_certificate(GramTwoDistance.from_json_dict(doc))
-    assert cert.verdict == "fail"
-    assert not cert.identity("off_diagonal_values_match_declared").holds
+    """One symmetric pair of Gram entries outside {a, b} gives exactly two
+    nonzero off-diagonal evaluation entries, over Q and over Q(sqrt 5)."""
+    for gram, outside in ((schlafli27(), "1/3"), (pentagon(), "1/3+1/2*sqrt(5)")):
+        doc = gram.to_json_dict()
+        doc["gram"][0][1] = outside
+        doc["gram"][1][0] = outside
+        cert = two_distance_certificate(GramTwoDistance.from_json_dict(doc))
+        assert cert.verdict == "fail"
+        assert not cert.identity("off_diagonal_values_match_declared").holds
+        off = cert.identity("evaluation_matrix_off_diagonal_zero")
+        assert (off.left, off.holds) == ("2", False)
 
 
 # -- squared-distance ratio ----------------------------------------------------

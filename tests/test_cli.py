@@ -123,6 +123,16 @@ def test_construct_johnson_dimension_cap(capsys):
     assert "desk scale" in report["payload"]["error"]
 
 
+def test_construct_johnson_at_dimension_cap(capsys):
+    """m = 24, the cap, builds a 276-square Gram matrix and checks it PSD of
+    rank at most 24 by fraction-free elimination on integers (under a
+    second)."""
+    start = time.perf_counter()
+    code, report, _ = run_cli(capsys, "construct", "johnson", "--m", "24")
+    assert time.perf_counter() - start < 3.0
+    assert code == 0 and report["outcome"] == "pass"
+
+
 def test_construct_lambda_design_from_pg(tmp_path, capsys):
     out = tmp_path / "ld.json"
     code, report, _ = run_cli(

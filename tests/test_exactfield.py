@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from basisbound.errors import MalformedInputError, SingularSystemError
+from basisbound import exactfield
+from basisbound.errors import InternalInconsistencyError, MalformedInputError, SingularSystemError
 from basisbound.exactfield import (
     QQ,
     ExactMatrix,
@@ -250,6 +251,33 @@ def test_solve_resubstitutes_exactly():
             continue
         for i in range(size):
             assert sum(m.entries[i][j] * x[j] for j in range(size)) == rhs[i]
+
+
+@pytest.mark.parametrize(
+    "field, shift",
+    [(QQ, Fraction(1, 10**12)), (QQ, Fraction(-3)), (PrimeFieldCtx(7), 1), (F5, quad(0, 1))],
+    ids=["Q-tiny", "Q", "GF7", "Q(sqrt5)"],
+)
+def test_resubstitution_catches_a_perturbed_solution(monkeypatch, field, shift):
+    """With one entry of the solver's answer moved, solve_linear raises
+    instead of returning it; over Q the check runs on integers."""
+    rows = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+    rhs = [1, 2, 3]
+    if field == QQ:  # a different denominator in each row
+        rows = [[Fraction(x, 3 + i) for x in r] for i, r in enumerate(rows)]
+        rhs[1] = Fraction(1, 2)
+    m = ExactMatrix(field, rows)
+    solve_linear(m, rhs)
+    real = exactfield._solve
+
+    def perturbed(matrix, rhs_rows):
+        rows = real(matrix, rhs_rows)
+        rows[1][0] = field.add(rows[1][0], field.coerce(shift))
+        return rows
+
+    monkeypatch.setattr(exactfield, "_solve", perturbed)
+    with pytest.raises(InternalInconsistencyError):
+        solve_linear(m, rhs)
 
 
 def test_determinant_matches_cofactor_expansion():

@@ -2,15 +2,39 @@
 
 All calculators return arbitrary-precision integers; the hypothesis checker
 returns a clause-by-clause verdict so reports can name the violated clause.
+Inputs whose arithmetic would run for seconds are refused with
+ResourceGuardError before any of it is done: each guard bounds the
+calculator's work in machine-word products, estimated from its arguments.
+A bound with more decimal digits than the interpreter will print is refused
+too, after it is computed.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import comb
 
-from .errors import HypothesisViolationError, MalformedInputError
-from .exactfield import is_prime
+from .errors import HypothesisViolationError, MalformedInputError, ResourceGuardError
+from .exactfield import MAX_MODULUS, is_prime
+
+# Word-product budgets, each about a second of arithmetic at most.
+MAX_DELSARTE_WORK = 2 * 10**9
+MAX_MSD_WORK = 10**10
+
+
+def _guard(work: int, budget: int, what: str):
+    if work > budget:
+        raise ResourceGuardError(f"{what}: work {work} exceeds the guard {budget}")
+
+
+def _printable(value: int) -> int:
+    """`value`, unless its decimal form is longer than the interpreter's
+    int-to-str limit, so that no report could print it."""
+    limit = sys.get_int_max_str_digits()
+    if limit and abs(value) >= 10**limit:
+        raise ResourceGuardError(f"bound has more than {limit} decimal digits")
+    return value
 
 
 def delsarte_bound(n: int, q: int, s: int) -> int:
@@ -20,7 +44,16 @@ def delsarte_bound(n: int, q: int, s: int) -> int:
         raise HypothesisViolationError(f"alphabet size must exceed 1: {q}")
     if not 0 < s <= n:
         raise HypothesisViolationError(f"distance count s={s} outside (0, {n}]")
-    return sum(comb(n, i) * (q - 1) ** i for i in range(s + 1))
+    # s steps, each a product of a term C(n,i)(q-1)^i, of at most
+    # min(n b, i (log n + b)) bits, with q-1 (b bits).
+    b = q.bit_length()
+    work = s * min(n * b, s * (n.bit_length() + b)) * -(-b // 64)
+    _guard(work, MAX_DELSARTE_WORK, "delsarte bound")
+    total = term = 1
+    for i in range(s):
+        term = term * (n - i) * (q - 1) // (i + 1)  # C(n, i+1) (q-1)^(i+1)
+        total += term
+    return _printable(total)
 
 
 def msd_bound(n: int, s: int) -> int:
@@ -28,7 +61,11 @@ def msd_bound(n: int, s: int) -> int:
     with at most s distinct inner products."""
     if n < 1 or s < 1:
         raise HypothesisViolationError(f"n and s must be positive: n={n}, s={s}")
-    return comb(n + s - 1, s) + comb(n + s - 2, s - 1)
+    # comb(n+s-1, s) takes k = min(s, n-1) steps on numbers of at most
+    # min(n+s, k log(n+s)) bits.
+    k, big = min(s, n - 1), n + s
+    _guard(k * min(big, k * big.bit_length()), MAX_MSD_WORK, "msd bound")
+    return _printable(comb(n + s - 1, s) + comb(n + s - 2, s - 1))
 
 
 def two_distance_max(n: int) -> int:
@@ -37,7 +74,7 @@ def two_distance_max(n: int) -> int:
         raise HypothesisViolationError(f"dimension must be positive: {n}")
     value = n * (n + 3) // 2
     assert value == msd_bound(n, 2)
-    return value
+    return _printable(value)
 
 
 def uniform_two_intersection_conjecture(n: int, w: int) -> int:
@@ -45,7 +82,7 @@ def uniform_two_intersection_conjecture(n: int, w: int) -> int:
     with two distinct intersection sizes (calculator only)."""
     if not 2 <= w <= n:
         raise HypothesisViolationError(f"need 2 <= w <= n, got w={w}, n={n}")
-    return comb(n - w + 2, 2)
+    return _printable(comb(n - w + 2, 2))
 
 
 @dataclass(frozen=True)
@@ -118,7 +155,11 @@ def check_mod_distance_hypotheses(n: int, q: int, p: int, lam: int) -> ModDistan
         raise HypothesisViolationError(f"lambda must be positive: {lam}")
     if p < 2:
         raise MalformedInputError(f"modulus must be at least 2: {p}")
-    return ModDistanceHypotheses(
+    if p >= MAX_MODULUS:
+        raise ResourceGuardError(
+            f"modulus {p} exceeds the guard {MAX_MODULUS}: primality is by trial division"
+        )
+    verdict = ModDistanceHypotheses(
         n=n,
         q=q,
         p=p,
@@ -129,3 +170,6 @@ def check_mod_distance_hypotheses(n: int, q: int, p: int, lam: int) -> ModDistan
         lambda_nonzero_mod_p=lam % p != 0,
         q_lambda_clause=(q * lam) % p != (n * (q - 1) + 1) % p,
     )
+    if verdict.holds:
+        _printable(verdict.bound)
+    return verdict

@@ -341,11 +341,7 @@ def two_distance_certificate(gram: GramTwoDistance) -> Certificate:
     identities.append(
         Identity("evaluation_matrix_off_diagonal_zero", str(off_nonzero), "0", off_nonzero == 0)
     )
-    diag_values = []
-    for s in range(count):
-        x = evaluation.entries[s][s]
-        if not any(field.eq(x, y) for y in diag_values):
-            diag_values.append(x)
+    diag_values = list(dict.fromkeys(evaluation.entries[s][s] for s in range(count)))
     identities.append(
         Identity(
             "evaluation_matrix_diagonal_value",
@@ -360,10 +356,7 @@ def two_distance_certificate(gram: GramTwoDistance) -> Certificate:
         alpha = solve_linear(evaluation, [one] * count)
         coefficients = [field.format(x) for x in alpha]
         expected = field.inv(target) if not field.is_zero(target) else None
-        distinct = []
-        for x in alpha:
-            if not any(field.eq(x, y) for y in distinct):
-                distinct.append(x)
+        distinct = list(dict.fromkeys(alpha))
         holds = (
             expected is not None
             and len(distinct) == 1

@@ -78,14 +78,7 @@ class GramTwoDistance:
 
     def off_diagonal_values(self):
         """Distinct off-diagonal entries, in first-occurrence order."""
-        seen = []
-        g = self.gram
-        for i in range(self.count):
-            for j in range(i + 1, self.count):
-                x = g.entries[i][j]
-                if not any(g.field.eq(x, y) for y in seen):
-                    seen.append(x)
-        return seen
+        return list(dict.fromkeys(x for i, r in enumerate(self.gram.entries) for x in r[i + 1:]))
 
     def self_check(self):
         """Full two-distance postcondition; raises on violation."""

@@ -9,13 +9,12 @@ by exact comparison of squares.  `scalar_field` is the one place that
 decides whether a set of scalars lives in Q or in Q(sqrt(d)).
 
 rank, determinant, solve_linear and invert share one Gauss-Jordan engine,
-`_eliminate`.  Over Q it runs fraction-free on integers (Bareiss 1968),
-after each row is cleared of denominators by their lcm, and solve_linear
-re-substitutes on integers too; over F_p it runs on residues mod p, scaling
-each pivot to one.  Only Q(sqrt(d)), whose matrices here are at most 27x27,
-takes the engine's generic path through the field operations.
-inertia_psd_rank runs the same fraction-free update on a symmetric matrix,
-pivoting on its diagonal.
+`_eliminate`, with two paths.  Over Q and Q(sqrt(d)) it runs fraction-free
+(Bareiss 1968) on integers, or on pairs (a, b) = a + b sqrt(d) of the ring
+Z[sqrt d], after each row is cleared of denominators by their lcm; over Q
+solve_linear re-substitutes on integers too.  Over F_p it runs on residues
+mod p, scaling each pivot to one.  inertia_psd_rank runs the same
+fraction-free update on a symmetric matrix, pivoting on its diagonal.
 """
 
 from __future__ import annotations
@@ -40,6 +39,10 @@ _QUAD_RE = re.compile(
     r"sqrt\((?P<rad>\d+)\)$"
 )
 _RADICAND_RE = re.compile(r"sqrt\((\d+)\)")
+
+# Moduli and radicands stay below a machine word, so that trial division
+# (is_prime, is_squarefree) takes at most about 2^15.5 steps.
+MAX_MODULUS = 1 << 31
 
 
 def is_prime(m: int) -> bool:
@@ -280,7 +283,7 @@ class PrimeFieldCtx:
     ordered = False
 
     def __init__(self, p: int):
-        if not isinstance(p, int) or p >= 1 << 31:
+        if not isinstance(p, int) or p >= MAX_MODULUS:
             raise MalformedInputError("modulus must be a machine-word-sized integer")
         if not is_prime(p):
             raise MalformedInputError(f"modulus {p} is not prime")
@@ -354,7 +357,7 @@ class QuadExtField:
     ordered = True
 
     def __init__(self, d: int):
-        if not (isinstance(d, int) and 2 <= d < 1 << 31 and is_squarefree(d)):
+        if not (isinstance(d, int) and 2 <= d < MAX_MODULUS and is_squarefree(d)):
             raise MalformedInputError(f"radicand must be squarefree in [2, 2^31): {d}")
         self.d = d
         self.zero = QuadExt(Fraction(0), Fraction(0), d)
@@ -492,13 +495,9 @@ class ExactMatrix:
         return self.nrows == self.ncols
 
     def is_symmetric(self):
-        if not self.is_square():
-            return False
-        f = self.field
-        return all(
-            f.eq(self.entries[i][j], self.entries[j][i])
-            for i in range(self.nrows)
-            for j in range(i + 1, self.ncols)
+        """Rows equal columns; entries are canonical, so `==` decides."""
+        return self.is_square() and all(
+            tuple(r) == c for r, c in zip(self.entries, zip(*self.entries))
         )
 
     def __eq__(self, other):
@@ -517,91 +516,135 @@ class ExactMatrix:
         return f"ExactMatrix({self.field!r}, {self.nrows}x{self.ncols})"
 
 
-def _eliminate(rows, width, field=None, jordan=False):
+def _bareiss(d, pivot, head, prev, xs, ys):
+    """[(pivot x - head y) / prev for x, y in zip(xs, ys)], the exact
+    fraction-free update, on integers or, with a radicand d, on pairs
+    (a, b) = a + b sqrt(d) of Z[sqrt d].  There both products are taken
+    times conj(prev), so the division is an exact integer `//` by the norm
+    N(prev) = prev conj(prev), which is not zero because d is squarefree."""
+    if d is None:
+        return [(pivot * a - head * b) // prev for a, b in zip(xs, ys)]
+    c, e = prev[0], -prev[1]
+    norm = c * c - d * e * e
+    p0, p1 = pivot[0] * c + d * pivot[1] * e, pivot[0] * e + pivot[1] * c
+    h0, h1 = head[0] * c + d * head[1] * e, head[0] * e + head[1] * c
+    dp1, dh1 = d * p1, d * h1
+    return [
+        ((p0 * a + dp1 * b - h0 * u - dh1 * v) // norm,
+         (p0 * b + p1 * a - h0 * v - h1 * u) // norm)
+        for (a, b), (u, v) in zip(xs, ys)
+    ]
+
+
+def _eliminate(rows, width, modulus=None, d=None, jordan=False):
     """Gauss-Jordan elimination of `rows` in place, pivoting on the first
     `width` columns; the columns after them ride along.
 
-    With no `field` the rows are integers and the elimination is
-    fraction-free (Bareiss 1968): every other row becomes
-    (pivot * row - head * pivot_row) / prev, where head is the row's entry in
-    the pivot column and prev the previous pivot.  The division is exact,
-    because each entry is then a minor of the input.  Over F_p and Q(sqrt d)
-    the pivot row is scaled to a leading one instead and subtracted from
-    every row with a nonzero head, reducing mod p over F_p.  Rows below the
-    pivot are cleared, and with `jordan` the rows above it too; columns left
-    of the pivot are not updated again.
+    There are two paths.  On integers, or with a radicand `d` on pairs
+    (a, b) = a + b sqrt(d) of Z[sqrt d], the elimination is fraction-free
+    (Bareiss 1968): every other row becomes (pivot * row - head * pivot_row)
+    / prev, where head is the row's entry in the pivot column and prev the
+    previous pivot.  The division is exact in Z or Z[sqrt d], because each
+    entry is then a minor of the input.  On residues mod `modulus` the pivot
+    row is scaled to a leading one instead and subtracted from every row
+    with a nonzero head.  Rows below the pivot are cleared, and with
+    `jordan` the rows above it too; columns left of the pivot are not
+    updated again.
 
-    Returns (rank, det, divisor).  When the first `width` columns form a
-    square matrix of full rank, det is its determinant and, after a
-    Gauss-Jordan, the ridden-along columns of row i hold divisor times row i
-    of the solution.
+    Returns (rank, sign, last).  When the first `width` columns form a
+    square matrix of full rank, its determinant is sign * last.  On
+    integers last is the last pivot and, after a Gauss-Jordan, the
+    ridden-along columns of row i hold last times row i of the solution; on
+    residues last is the product of the pivots and they hold the solution.
     """
     nrows = len(rows)
-    modulus = getattr(field, "p", None)
-    rank, sign, prev, det = 0, 1, 1, 1
+    zero = (0, 0) if d else 0
+    rank, sign, prev = 0, 1, (1, 0) if d else 1
     for col in range(width):
         if rank == nrows:
             break
-        found = next((i for i in range(rank, nrows) if rows[i][col]), None)
+        found = next((i for i in range(rank, nrows) if rows[i][col] != zero), None)
         if found is None:
             continue
         if found != rank:
             rows[rank], rows[found] = rows[found], rows[rank]
             sign = -sign
         pivot = rows[rank][col]
-        if field is not None:
-            det = field.mul(det, pivot)
-            inverse = field.inv(pivot)
-            rows[rank][col:] = [field.mul(x, inverse) for x in rows[rank][col:]]
+        if modulus:
+            inverse = pow(pivot, modulus - 2, modulus)
+            rows[rank][col:] = [x * inverse % modulus for x in rows[rank][col:]]
         top = rows[rank][col:]
         for i in range(0 if jordan else rank + 1, nrows):
             row = rows[i]
             head = row[col]
-            if i == rank or (field is not None and not head):
+            if i == rank:
                 continue
-            if field is None:
-                row[col:] = [(pivot * a - head * b) // prev for a, b in zip(row[col:], top)]
-            elif modulus:
+            if not modulus:
+                row[col:] = _bareiss(d, pivot, head, prev, row[col:], top)
+            elif head:
                 row[col:] = [(a - head * b) % modulus for a, b in zip(row[col:], top)]
-            else:
-                row[col:] = [a - head * b for a, b in zip(row[col:], top)]
-        prev = pivot
+        prev = prev * pivot % modulus if modulus else pivot
         rank += 1
-    if field is None:
-        return rank, sign * prev, prev
-    return rank, field.mul(sign, det), 1
+    return rank, sign, prev
 
 
-def _cleared(rows):
-    """(integer rows, scales): each row of Fractions times its lcm scale."""
-    scales = [math.lcm(*(x.denominator for x in r)) for r in rows]
-    return [[x.numerator * (s // x.denominator) for x in r] for r, s in zip(rows, scales)], scales
+def _cleared(field, rows, common=False):
+    """(rows, scales): each row over Q or Q(sqrt d) times the lcm of its
+    denominators, or with `common` of all the matrix's denominators, which
+    keeps a symmetric matrix symmetric.  Over Q the rows come back on
+    integers, over Q(sqrt d) on pairs (a, b) = a + b sqrt(d) of integers."""
+    if field == QQ:
+        scales = [math.lcm(*(x.denominator for x in r)) for r in rows]
+    else:
+        scales = [math.lcm(*(y.denominator for x in r for y in (x.rat, x.surd)))
+                  for r in rows]
+    if common:
+        scales = [math.lcm(*scales)] * len(rows)
+    if field == QQ:
+        return [[x.numerator * (s // x.denominator) for x in r] for r, s in zip(rows, scales)], scales
+    return [
+        [(x.rat.numerator * (s // x.rat.denominator), x.surd.numerator * (s // x.surd.denominator))
+         for x in r]
+        for r, s in zip(rows, scales)
+    ], scales
+
+
+def _quotient(d, x, y):
+    """x / y in Q for integers, or in Q(sqrt d) for pairs x, y of Z[sqrt d]:
+    x conj(y) / N(y)."""
+    if d is None:
+        return Fraction(x, y)
+    (a, b), (c, e) = x, y
+    norm = c * c - d * e * e
+    return QuadExt(Fraction(a * c - d * b * e, norm), Fraction(b * c - a * e, norm), d)
 
 
 def _reduce(m: ExactMatrix, rhs=None):
     """Eliminate M, augmented on the right by the rows of `rhs`; with `rhs`
-    the elimination is Gauss-Jordan.  Over Q each row is first cleared of
-    denominators by the lcm of its denominators, so the integer engine
-    solves (DM) X = D rhs for a diagonal D, which has the same solution.
+    the elimination is Gauss-Jordan.  Over Q and Q(sqrt d) each row is
+    first cleared of denominators by the lcm of its denominators, so the
+    integer engine solves (DM) X = D rhs for a diagonal D, which has the
+    same solution; the solution is the ridden-along columns divided by the
+    last pivot, and det(M) = det(DM) / det(D).
 
     Returns (rank, det, solution): det is the determinant of a square M,
     and solution the rows of X with M X = rhs when `rhs` is given and M is
     nonsingular, else None.
     """
     field, width, jordan = m.field, m.ncols, rhs is not None
+    modulus, d = getattr(field, "p", None), getattr(field, "d", None)
     rows = [r + rhs[i] if jordan else list(r) for i, r in enumerate(m.entries)]
-    if field == QQ:
-        rows, scales = _cleared(rows)
-        rk, det, divisor = _eliminate(rows, width, jordan=jordan)
-        det = Fraction(det, math.prod(scales))
-    else:
-        rk, det, divisor = _eliminate(rows, width, field, jordan)
+    if not modulus:
+        rows, scales = _cleared(field, rows)
+    rk, sign, last = _eliminate(rows, width, modulus, d, jordan)
     if rk < m.nrows or m.nrows != width:
         return rk, field.zero, None
-    solution = [r[width:] for r in rows] if jordan else None
-    if jordan and field == QQ:
-        solution = [[Fraction(x, divisor) for x in r] for r in solution]
-    return rk, field.coerce(det), solution
+    if modulus:
+        return rk, sign * last % modulus, [r[width:] for r in rows] if jordan else None
+    scale = sign * math.prod(scales)
+    det = _quotient(d, last, (scale, 0) if d else scale)
+    solution = [[_quotient(d, x, last) for x in r[width:]] for r in rows] if jordan else None
+    return rk, det, solution
 
 
 def rank(m: ExactMatrix) -> int:
@@ -639,7 +682,7 @@ def solve_linear(m: ExactMatrix, rhs):
         # row [c | r] of [M | rhs] cleared of denominators must give c.u = D r.
         denom = math.lcm(*(v.denominator for v in x))
         u = [v.numerator * (denom // v.denominator) for v in x]
-        rows, _ = _cleared([r + [v] for r, v in zip(m.entries, rhs)])
+        rows, _ = _cleared(QQ, [r + [v] for r, v in zip(m.entries, rhs)])
         holds = all(sum(map(operator.mul, r, u)) == denom * r[-1] for r in rows)
     else:
         holds = all(field.eq(sum(map(operator.mul, r, x)), v) for r, v in zip(m.entries, rhs))
@@ -658,34 +701,32 @@ def invert(m: ExactMatrix) -> ExactMatrix:
 def inertia_psd_rank(g: ExactMatrix):
     """(is_psd, rank) of a symmetric matrix over an ordered field, by
     fraction-free symmetric elimination: each step pivots on the first
-    remaining nonzero diagonal entry d and sets every remaining entry to
-    (d a_ij - a_ip a_pj) / prev, an exact division (Bareiss 1968).  The
-    LDL^T pivot is d / prev, so all are positive iff every d is.  Over Q the
-    matrix is first scaled by the lcm of its denominators, which keeps its
-    inertia, and the loop runs on integers.  If only an all-zero diagonal
-    remains while off-diagonal entries survive, the matrix is indefinite and
-    the remaining rank is computed by plain elimination.
+    remaining nonzero diagonal entry p and sets every remaining entry to
+    (p a_ij - a_ip a_pj) / prev, an exact division (Bareiss 1968).  The
+    LDL^T pivot is p / prev, so all are positive iff every p is.  The matrix
+    is first scaled by the lcm of all its denominators, which keeps its
+    inertia, and the loop runs on the engine's integer path: on integers
+    over Q, on pairs of Z[sqrt d] over Q(sqrt d), where each pivot's sign is
+    decided exactly.  If only an all-zero diagonal remains while
+    off-diagonal entries survive, the matrix is indefinite and the remaining
+    rank is computed by plain elimination.
     """
     field = g.field
     if not getattr(field, "ordered", False):
         raise MalformedInputError("inertia requires an ordered field (Q or Q(sqrt d))")
     if not g.is_symmetric():
         raise MalformedInputError("inertia requires a symmetric matrix")
-    if field == QQ:
-        scale = math.lcm(*(x.denominator for r in g.entries for x in r))
-        rows = [[x.numerator * (scale // x.denominator) for x in r] for r in g.entries]
-        divide = operator.floordiv
-    else:
-        rows = [g.row(i) for i in range(g.nrows)]
-        divide = operator.truediv
-    positive, pivots, prev = True, 0, 1
-    while (k := next((i for i, r in enumerate(rows) if r[i]), None)) is not None:
+    d = getattr(field, "d", None)
+    rows, _ = _cleared(field, g.entries, common=True)
+    zero, prev = ((0, 0), (1, 0)) if d else (0, 1)
+    positive, pivots = True, 0
+    while (k := next((i for i, r in enumerate(rows) if r[i] != zero), None)) is not None:
         top = rows.pop(k)
-        d = top.pop(k)
+        pivot = top.pop(k)
         heads = [r.pop(k) for r in rows]
-        rows = [[divide(d * x - h * y, prev) for x, y in zip(r, top)] for r, h in zip(rows, heads)]
-        positive = positive and field.sign(d) > 0
-        pivots, prev = pivots + 1, d
-    if any(x for r in rows for x in r):
-        return False, pivots + rank(ExactMatrix(field, rows))
+        rows = [_bareiss(d, pivot, h, prev, r, top) for r, h in zip(rows, heads)]
+        positive = positive and (QuadExt(*pivot, d).sign() if d else pivot) > 0
+        pivots, prev = pivots + 1, pivot
+    if any(x != zero for r in rows for x in r):
+        return False, pivots + _eliminate(rows, len(rows), d=d)[0]
     return positive, pivots

@@ -1,26 +1,37 @@
 """The benchmark's tracing hooks name package attributes by string; a
 renamed or removed target would only show up as an "absent" metric in a
 traced benchmark run.  Resolve every target here the way
-`perfbench/tracing.py` does (`Tracer.hooks`), so a rename fails the tests."""
+`perfbench/tracing.py` does (`Tracer.hooks`), so a rename fails the tests.
+Then run one traced round of the `certify` and `search-deep` job lists in
+process, as `perfbench/worker.py` does, and check that every job passes the
+benchmark's oracle and that the round's metrics are strict JSON."""
 
+import contextlib
 import importlib
 import importlib.util
 import inspect
+import io
+import json
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from basisbound import cli, constructions
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING_PATH)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
 
-_tracing = _load_tracing()
+_tracing = _load("tracing")
+_workloads = _load("workloads")
 TARGETS = _tracing.HOOKS + _tracing.SETUP_HOOKS
 
 
@@ -38,3 +49,29 @@ def test_hook_target_resolves(name, module_name, path):
     if isinstance(target, classmethod):
         target = target.__func__
     assert callable(target), (name, module_name, path)
+
+
+def _traced_round(workload, workdir):
+    """(tracer, round metrics) of one traced round of the workload's jobs;
+    each job's report must pass the benchmark's oracle."""
+    jobs = _workloads.build_jobs(workload, 2020, workdir, constructions)
+    tracer = _tracing.Tracer()
+    with tracer.hooks(_tracing.HOOKS):
+        for job in jobs:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(list(job.argv))
+            assert _workloads.check(job, code, out.getvalue()) == ("ok", ""), job.name
+    return tracer, tracer.round_metrics()
+
+
+@pytest.mark.parametrize("workload", ["certify", "search-deep"])
+def test_traced_round_metrics_are_strict_json(tmp_path, workload):
+    tracer, metrics = _traced_round(workload, tmp_path)
+    assert not tracer.absent
+    assert json.loads(json.dumps(metrics, allow_nan=False)) == metrics
+    if workload == "certify":
+        assert metrics["exactfield.calls"] == 10
+        assert metrics["exactfield.max_dim"] == 48
+    else:
+        assert metrics["kernel.nodes"] > 0

@@ -1,5 +1,8 @@
 """Closed-form bound calculators and the modular-distance hypothesis check."""
 
+import sys
+from math import comb
+
 import pytest
 
 from basisbound.bounds import (
@@ -9,7 +12,7 @@ from basisbound.bounds import (
     two_distance_max,
     uniform_two_intersection_conjecture,
 )
-from basisbound.errors import HypothesisViolationError, MalformedInputError
+from basisbound.errors import HypothesisViolationError, MalformedInputError, ResourceGuardError
 
 
 @pytest.mark.parametrize(
@@ -24,6 +27,14 @@ def test_delsarte_full_distance_count_is_whole_space():
     for n in range(1, 7):
         for q in range(2, 5):
             assert delsarte_bound(n, q, n) == q**n
+
+
+def test_delsarte_matches_binomial_sum():
+    for n in range(1, 25):
+        for q in (2, 3, 7, 2**70):
+            for s in range(1, n + 1):
+                expected = sum(comb(n, i) * (q - 1) ** i for i in range(s + 1))
+                assert delsarte_bound(n, q, s) == expected
 
 
 def test_delsarte_guards():
@@ -92,3 +103,46 @@ def test_mod_distance_check_guards():
     for p in (1, 0, -3):  # p = 0 used to raise ZeroDivisionError
         with pytest.raises(MalformedInputError, match="modulus must be at least 2"):
             check_mod_distance_hypotheses(3, 2, p, 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: check_mod_distance_hypotheses(5, 2, 1000000000000000003, 1),
+        lambda: check_mod_distance_hypotheses(5, 2, 1 << 31, 1),
+        lambda: delsarte_bound(3000000, 2, 3000000),
+        lambda: delsarte_bound(10000, 2**64, 10000),
+        lambda: msd_bound(3000000, 3000000),
+    ],
+)
+def test_costly_inputs_are_refused(call):
+    """Each of these ran for more than ten seconds before it was guarded."""
+    with pytest.raises(ResourceGuardError, match="exceeds the guard"):
+        call()
+
+
+def test_cheap_inputs_with_large_arguments_still_compute():
+    big = 10**200
+    assert delsarte_bound(big, 2, 1) == big + 1
+    assert msd_bound(big, 2) == two_distance_max(big) == big * (big + 3) // 2
+    assert check_mod_distance_hypotheses(5, 2, (1 << 31) - 1, 1).p_prime
+
+
+def test_unprintable_bounds_are_refused():
+    """A bound longer than the interpreter's int-to-str limit could not be
+    printed in a report."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("int-to-str limit disabled")
+    big = 10 ** (limit // 2 + 1)
+    for call in (
+        lambda: msd_bound(10000, 10000),
+        lambda: two_distance_max(big),
+        lambda: uniform_two_intersection_conjecture(big, 2),
+        lambda: check_mod_distance_hypotheses(10**limit + 1, 2, 3, 1),
+    ):
+        with pytest.raises(ResourceGuardError, match="decimal digits"):
+            call()
+    # Without a bound to print, the clause-by-clause verdict is reported.
+    verdict = check_mod_distance_hypotheses(10**limit + 2, 2, 3, 1)
+    assert verdict.failing_clauses() == ["nNonzeroModP"]

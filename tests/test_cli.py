@@ -405,6 +405,10 @@ def test_usage_errors_exit_3(capsys):
         ["search", "--n", "3", "--q", "2", "--pred", "dist-const", "--lambda", "2", "--max-space", "8"],
         ["search", "--n", "2", "--q", "300", "--pred", "dist-const", "--lambda", "1"],
         ["bound", "mod-distance-check", "--n", "3", "--q", "2", "--p", "0", "--lambda", "1"],
+        ["bound", "mod-distance-check", "--n", "5", "--q", "2", "--p", "1000000000000000003", "--lambda", "1"],
+        ["bound", "delsarte", "--n", "3000000", "--q", "2", "--s", "3000000"],
+        ["bound", "msd", "--n", "3000000", "--s", "3000000"],
+        ["bound", "msd", "--n", "10000", "--s", "10000"],
     ):
         code, report, err = run_cli(capsys, *argv)
         assert code == 3, argv

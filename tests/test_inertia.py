@@ -1,6 +1,6 @@
 """Differential test of `inertia_psd_rank` against the pivoted LDL^T it
 replaced (`naive_inertia`) and against sympy, on seeded random symmetric
-matrices over Q and Q(sqrt 5): PSD matrices of every rank, zero rows and
+matrices over Q and Q(sqrt d) for d = 2, 5, 13: PSD matrices of every rank, zero rows and
 columns at any index, indefinite matrices, and zero diagonals under nonzero
 off-diagonal entries."""
 
@@ -13,8 +13,7 @@ import pytest
 import naive_inertia
 from basisbound.exactfield import QQ, ExactMatrix, QuadExt, QuadExtField, inertia_psd_rank
 
-SQRT5 = QuadExtField(5)
-FIELDS = [QQ, SQRT5]
+FIELDS = [QQ, QuadExtField(2), QuadExtField(5), QuadExtField(13)]
 KINDS = ("psd", "zero-line", "indefinite", "zero-diagonal")
 
 

@@ -32,7 +32,8 @@ def _printable(value: int) -> int:
     """`value`, unless its decimal form is longer than the interpreter's
     int-to-str limit, so that no report could print it."""
     limit = sys.get_int_max_str_digits()
-    if limit and abs(value) >= 10**limit:
+    # 10^limit has more than 3 limit bits, so a shorter value is printable.
+    if limit and abs(value).bit_length() > 3 * limit and abs(value) >= 10**limit:
         raise ResourceGuardError(f"bound has more than {limit} decimal digits")
     return value
 

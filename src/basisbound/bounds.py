@@ -11,12 +11,11 @@ too, after it is computed.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from math import comb
 
 from .errors import HypothesisViolationError, MalformedInputError, ResourceGuardError
-from .exactfield import MAX_MODULUS, is_prime
+from .exactfield import MAX_MODULUS, is_prime, printable
 
 # Word-product budgets, each about a second of arithmetic at most.
 MAX_DELSARTE_WORK = 2 * 10**9
@@ -26,16 +25,6 @@ MAX_MSD_WORK = 10**10
 def _guard(work: int, budget: int, what: str):
     if work > budget:
         raise ResourceGuardError(f"{what}: work {work} exceeds the guard {budget}")
-
-
-def _printable(value: int) -> int:
-    """`value`, unless its decimal form is longer than the interpreter's
-    int-to-str limit, so that no report could print it."""
-    limit = sys.get_int_max_str_digits()
-    # 10^limit has more than 3 limit bits, so a shorter value is printable.
-    if limit and abs(value).bit_length() > 3 * limit and abs(value) >= 10**limit:
-        raise ResourceGuardError(f"bound has more than {limit} decimal digits")
-    return value
 
 
 def delsarte_bound(n: int, q: int, s: int) -> int:
@@ -54,7 +43,7 @@ def delsarte_bound(n: int, q: int, s: int) -> int:
     for i in range(s):
         term = term * (n - i) * (q - 1) // (i + 1)  # C(n, i+1) (q-1)^(i+1)
         total += term
-    return _printable(total)
+    return printable(total)
 
 
 def msd_bound(n: int, s: int) -> int:
@@ -66,7 +55,7 @@ def msd_bound(n: int, s: int) -> int:
     # min(n+s, k log(n+s)) bits.
     k, big = min(s, n - 1), n + s
     _guard(k * min(big, k * big.bit_length()), MAX_MSD_WORK, "msd bound")
-    return _printable(comb(n + s - 1, s) + comb(n + s - 2, s - 1))
+    return printable(comb(n + s - 1, s) + comb(n + s - 2, s - 1))
 
 
 def two_distance_max(n: int) -> int:
@@ -75,7 +64,7 @@ def two_distance_max(n: int) -> int:
         raise HypothesisViolationError(f"dimension must be positive: {n}")
     value = n * (n + 3) // 2
     assert value == msd_bound(n, 2)
-    return _printable(value)
+    return printable(value)
 
 
 def uniform_two_intersection_conjecture(n: int, w: int) -> int:
@@ -83,7 +72,7 @@ def uniform_two_intersection_conjecture(n: int, w: int) -> int:
     with two distinct intersection sizes (calculator only)."""
     if not 2 <= w <= n:
         raise HypothesisViolationError(f"need 2 <= w <= n, got w={w}, n={n}")
-    return _printable(comb(n - w + 2, 2))
+    return printable(comb(n - w + 2, 2))
 
 
 @dataclass(frozen=True)
@@ -172,5 +161,5 @@ def check_mod_distance_hypotheses(n: int, q: int, p: int, lam: int) -> ModDistan
         q_lambda_clause=(q * lam) % p != (n * (q - 1) + 1) % p,
     )
     if verdict.holds:
-        _printable(verdict.bound)
+        printable(verdict.bound)
     return verdict

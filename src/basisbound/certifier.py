@@ -4,10 +4,14 @@ meet a linear-algebra bound with equality, and exact verification of the
 identities that equality forces (modular distance congruences, the maximal
 two-distance relation, design congruences, the Ryser degree dichotomy).
 
-Every scalar goes through the field objects of `exactfield`.  Coefficient
-vectors come from its one elimination engine (`solve_linear`), except
-Ryser's, which are stated in closed form and checked by exact
-re-substitution.  Member functions are evaluated from the data directly:
+Every scalar goes through the field objects of `exactfield`.  Each
+member function vanishes on every other member once the hypotheses hold,
+so the evaluation matrix is diagonal and the coefficients of the constant
+1 are read off its diagonal (Ryser's are stated in closed form).  They are
+checked by exact re-substitution, not by an elimination; the one
+elimination engine (`solve_linear`) runs only on a two-distance Gram whose
+evaluation matrix is not diagonal, and on the interpolation systems of
+`indicator_poly`.  Member functions are evaluated from the data directly:
 the hamming-tight members at a vector are its Hamming distances minus
 lambda, the two-distance members are products of Gram-entry differences.
 Both sides of every identity are computed by independent code paths and
@@ -139,33 +143,32 @@ def indicator_poly(a: int, q: int, p: PrimeFieldCtx) -> list[int]:
     a and 1 at every other point of [0, q-1]; degree at most q-1.  They
     solve the q x q Vandermonde system on the nodes 0..q-1, whose
     re-substitution checks the interpolation."""
-    ctx = p if isinstance(p, PrimeFieldCtx) else PrimeFieldCtx(p)
-    if ctx.p < q:
-        raise HypothesisViolationError(f"need p >= q, got p={ctx.p}, q={q}", clause="pGeqQ")
+    if p.p < q:
+        raise HypothesisViolationError(f"need p >= q, got p={p.p}, q={q}", clause="pGeqQ")
     if not 0 <= a < q:
         raise MalformedInputError(f"symbol {a} outside [0, {q - 1}]")
-    vandermonde = ExactMatrix(ctx, [[t**k for k in range(q)] for t in range(q)])
+    vandermonde = ExactMatrix(p, [[t**k for k in range(q)] for t in range(q)])
     coeffs = solve_linear(vandermonde, [int(t != a) for t in range(q)])
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
 
 
-def hamming_tight_certificate(system: VectorSystem, p, lam: int) -> Certificate:
+def hamming_tight_certificate(system: VectorSystem, p: int, lam: int) -> Certificate:
     """Certificate for a vector system meeting the modular constant-distance
     bound n(q-1) with one extra member.
 
     The member functions are f_a(x) = sum_i l_{a_i}(x_i) - lambda over F_p,
     where l_a is `indicator_poly(a)`: 0 at a and 1 elsewhere on [0, q-1].
-    So f_a(h) = d_H(a, h) - lambda, and the evaluation matrix and the member
-    sums at the constant vectors are read from Hamming distances.  One
-    exact solve of the evaluation system gives the coefficients expressing
-    the constant 1 in that basis (each must be -1/lambda), or the rank when
-    it is singular.  The combination is then re-expanded over the monomial
+    So f_a(h) = d_H(a, h) - lambda, and the member sums at the constant
+    vectors are read from Hamming distances.  The hypotheses (every distance
+    congruent to lambda, lambda nonzero mod p) make the evaluation matrix
+    -lambda I, so the constant 1 is the combination with every coefficient
+    -1/lambda.  That combination is re-expanded over the monomial
     coefficients of the l_a, independently of the distances, and the forced
     congruence q*lambda = n(q-1)+1 mod p is checked.
     """
-    ctx = p if isinstance(p, PrimeFieldCtx) else PrimeFieldCtx(p)
+    ctx = PrimeFieldCtx(p)
     p_value = ctx.p
     n, q = system.n, system.q
     if p_value < q:
@@ -179,10 +182,9 @@ def hamming_tight_certificate(system: VectorSystem, p, lam: int) -> Certificate:
         )
     vectors = system.vectors
     member_count = len(vectors)
-    dist = [[0] * member_count for _ in vectors]
     for i in range(member_count):
         for j in range(i + 1, member_count):
-            d = dist[i][j] = dist[j][i] = hamming_distance(vectors[i], vectors[j])
+            d = hamming_distance(vectors[i], vectors[j])
             if d % p_value != lam_res:
                 raise HypothesisViolationError(
                     f"distance {d} between members {i} and {j} is not "
@@ -196,62 +198,49 @@ def hamming_tight_certificate(system: VectorSystem, p, lam: int) -> Certificate:
         ("pGeqQ", True),
         ("lambdaNonzeroModP", True),
         ("distancesCongruentToLambda", True),
-        ("sizeEqualsBoundPlusOne", len(vectors) == size_target),
+        ("sizeEqualsBoundPlusOne", member_count == size_target),
     ]
     details = {
         "n": n,
         "q": q,
         "p": p_value,
         "lambda_residue": lam_res,
-        "size": len(vectors),
+        "size": member_count,
         "tight_size": size_target,
     }
-    if len(vectors) != size_target:
+    if member_count != size_target:
         return _certificate(
             "hamming-tight", hypotheses, [], [], details, not_applicable=True
         )
 
-    evaluation = ExactMatrix(ctx, [[d - lam for d in row] for row in dist])
-    coefficients: list[str] = []
-    try:
-        alpha = solve_linear(evaluation, [ctx.one] * member_count)
-        rk = member_count
-    except SingularSystemError as exc:
-        alpha, rk = None, exc.rank
+    # f_s(v_t) = d_H(v_s, v_t) - lambda = -lambda [s = t] mod p, so the
+    # evaluation matrix is -lambda I and every coefficient is -1/lambda.
+    alpha = ctx.neg(ctx.inv(lam_res))
+    alpha_text = _format_list(ctx, [alpha])
+    coefficients = [ctx.format(alpha)] * member_count
     identities = [
-        Identity("evaluation_matrix_nonsingular", str(rk), str(member_count), rk == member_count)
+        Identity("evaluation_matrix_nonsingular", str(member_count), str(member_count), True),
+        Identity("coefficients_equal_minus_inverse_lambda", alpha_text, alpha_text, True),
     ]
-    if alpha is not None:
-        coefficients = [ctx.format(x) for x in alpha]
-        expected_alpha = ctx.neg(ctx.inv(lam_res))
-        distinct_alpha = sorted(set(alpha))
-        identities.append(
-            Identity(
-                "coefficients_equal_minus_inverse_lambda",
-                _format_list(ctx, distinct_alpha),
-                _format_list(ctx, [expected_alpha]),
-                distinct_alpha == [expected_alpha],
-            )
-        )
-        # Re-expand sum_t alpha_t f_t over the monomials: slot 0 holds the
-        # constant, slot 1+i(q-1)+(j-1) the monomial x_i^j.
-        indicators = [indicator_poly(a, q, ctx) for a in range(q)]
-        combo = [0] * size_target
-        for t, vec in enumerate(vectors):
-            combo[0] -= alpha[t] * lam_res
-            for i, a_i in enumerate(vec):
-                la = indicators[a_i]
-                combo[0] += alpha[t] * la[0]
-                for j in range(1, len(la)):
-                    combo[1 + i * (q - 1) + (j - 1)] += alpha[t] * la[j]
-        combo = [c % p_value for c in combo]
-        identities.append(
-            Identity("combination_constant_term", ctx.format(combo[0]), "1", combo[0] == 1 % p_value)
-        )
-        nonconstant = sum(1 for c in combo[1:] if c)
-        identities.append(
-            Identity("combination_nonconstant_terms", str(nonconstant), "0", nonconstant == 0)
-        )
+    # Re-expand alpha sum_t f_t over the monomials: slot 0 holds the
+    # constant, slot 1+i(q-1)+(j-1) the monomial x_i^j.
+    indicators = [indicator_poly(a, q, ctx) for a in range(q)]
+    combo = [0] * size_target
+    for vec in vectors:
+        combo[0] -= lam_res
+        for i, a_i in enumerate(vec):
+            la = indicators[a_i]
+            combo[0] += la[0]
+            for j in range(1, len(la)):
+                combo[1 + i * (q - 1) + (j - 1)] += la[j]
+    combo = [alpha * c % p_value for c in combo]
+    identities.append(
+        Identity("combination_constant_term", ctx.format(combo[0]), "1", combo[0] == 1 % p_value)
+    )
+    nonconstant = sum(1 for c in combo[1:] if c)
+    identities.append(
+        Identity("combination_nonconstant_terms", str(nonconstant), "0", nonconstant == 0)
+    )
 
     minus_lam = (-lam_res) % p_value
     for j in range(q):
@@ -281,13 +270,15 @@ def hamming_tight_certificate(system: VectorSystem, p, lam: int) -> Certificate:
 def two_distance_certificate(gram: GramTwoDistance) -> Certificate:
     """Certificate for a maximal spherical two-distance set.
 
-    Applicable only at the maximal size N = n(n+3)/2.  Checks that the
-    evaluation matrix (<v_s, v_m> - a)(<v_s, v_m> - b) is the nonsingular
-    diagonal (1-a)(1-b) I, extracts the combination coefficients of the
-    constant 1 (each 1/((1-a)(1-b))), and verifies the forced relation
-    N(ab + 1/n) = (1-a)(1-b) exactly.  When floating coordinates are
-    attached, the per-axis coordinate sums and the total squared norm are
-    checked to relative 1e-9.
+    Applicable only at the maximal size N = n(n+3)/2.  Counts the nonzero
+    off-diagonal entries of the evaluation matrix
+    (<v_s, v_m> - a)(<v_s, v_m> - b), one product per distinct Gram value;
+    its diagonal is (1-a)(1-b) by the unit diagonal.  When that count is 0
+    the coefficients of the constant 1 are 1/((1-a)(1-b)) each; otherwise
+    the matrix is built and solved, and the coefficients are compared with
+    that value.  The forced relation N(ab + 1/n) = (1-a)(1-b) is verified
+    exactly.  When floating coordinates are attached, the per-axis
+    coordinate sums and the total squared norm are checked to relative 1e-9.
     """
     field = gram.field
     a = field.coerce(gram.value_a)
@@ -330,18 +321,14 @@ def two_distance_certificate(gram: GramTwoDistance) -> Certificate:
     target = field.mul(field.sub(one, a), field.sub(one, b))
     entries = gram.gram.entries
     product = {g: field.mul(field.sub(g, a), field.sub(g, b)) for g in set().union(*entries)}
-    evaluation = ExactMatrix(field, [[product[g] for g in r] for r in entries])
-
+    nonzero = {g for g, v in product.items() if not field.is_zero(v)}
     off_nonzero = sum(
-        1
-        for s in range(count)
-        for m in range(count)
-        if s != m and not field.is_zero(evaluation.entries[s][m])
+        1 for s, r in enumerate(entries) for m, g in enumerate(r) if m != s and g in nonzero
     )
     identities.append(
         Identity("evaluation_matrix_off_diagonal_zero", str(off_nonzero), "0", off_nonzero == 0)
     )
-    diag_values = list(dict.fromkeys(evaluation.entries[s][s] for s in range(count)))
+    diag_values = list(dict.fromkeys(product[r[s]] for s, r in enumerate(entries)))
     identities.append(
         Identity(
             "evaluation_matrix_diagonal_value",
@@ -351,26 +338,27 @@ def two_distance_certificate(gram: GramTwoDistance) -> Certificate:
         )
     )
 
-    coefficients = []
+    # The unit diagonal makes every diagonal entry (1-a)(1-b), nonzero as
+    # a, b != 1; with no off-diagonal entry left, alpha = 1/target.
+    expected = field.inv(target)
     try:
-        alpha = solve_linear(evaluation, [one] * count)
+        if off_nonzero:
+            evaluation = ExactMatrix(field, [[product[g] for g in r] for r in entries])
+            alpha = solve_linear(evaluation, [one] * count)
+        else:
+            alpha = [expected] * count
         coefficients = [field.format(x) for x in alpha]
-        expected = field.inv(target) if not field.is_zero(target) else None
         distinct = list(dict.fromkeys(alpha))
-        holds = (
-            expected is not None
-            and len(distinct) == 1
-            and field.eq(distinct[0], expected)
-        )
         identities.append(
             Identity(
                 "coefficients_equal_inverse_product",
                 _format_list(field, distinct),
-                _format_list(field, [expected] if expected is not None else []),
-                holds,
+                _format_list(field, [expected]),
+                len(distinct) == 1 and field.eq(distinct[0], expected),
             )
         )
     except SingularSystemError as exc:
+        coefficients = []
         identities.append(
             Identity("coefficients_equal_inverse_product", f"singular (rank {exc.rank})", "", False)
         )
@@ -478,12 +466,12 @@ def _ratio_integer_m(ratio):
 # Modular design congruences
 
 
-def mod_design_certificate(family: SetFamily, p) -> Certificate:
+def mod_design_certificate(family: SetFamily, p: int) -> Certificate:
     """For n sets on n points with sizes congruent to k and pairwise
     intersections congruent to lambda mod p (n, k, k-lambda nonzero mod p),
     verify k(k-1) = lambda(n-1) mod p and that every point degree is
     congruent to k."""
-    ctx = p if isinstance(p, PrimeFieldCtx) else PrimeFieldCtx(p)
+    ctx = PrimeFieldCtx(p)
     p_value = ctx.p
     n = family.n
     if len(family) != n or n < 2:

@@ -208,7 +208,7 @@ def _read_json(path):
         raise UsageError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(raw.decode()), raw
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, UnicodeDecodeError, RecursionError) as exc:
         raise MalformedInputError(f"invalid JSON in {path}: {exc}") from exc
 
 

@@ -22,12 +22,14 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
     InternalInconsistencyError,
     MalformedInputError,
+    ResourceGuardError,
     SingularSystemError,
 )
 
@@ -70,10 +72,20 @@ def is_squarefree(m: int) -> bool:
     return True
 
 
+def printable(value: int) -> int:
+    """`value`, unless its decimal form is longer than the interpreter's
+    int-to-str limit, so that no report could print it."""
+    limit = sys.get_int_max_str_digits()
+    # 10^limit has more than 3 limit bits, so a shorter value is printable.
+    if limit and abs(value).bit_length() > 3 * limit and abs(value) >= 10**limit:
+        raise ResourceGuardError(f"integer has more than {limit} decimal digits")
+    return value
+
+
 def format_rational(x: Fraction) -> str:
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return str(printable(x.numerator))
+    return f"{printable(x.numerator)}/{printable(x.denominator)}"
 
 
 def parse_rational(s: str) -> Fraction:

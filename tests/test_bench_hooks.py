@@ -71,7 +71,7 @@ def test_traced_round_metrics_are_strict_json(tmp_path, workload):
     assert not tracer.absent
     assert json.loads(json.dumps(metrics, allow_nan=False)) == metrics
     if workload == "certify":
-        assert metrics["exactfield.calls"] == 10
+        assert metrics["exactfield.calls"] == 7
         assert metrics["exactfield.max_dim"] == 48
     else:
         assert metrics["kernel.nodes"] > 0

@@ -29,7 +29,7 @@ from basisbound.constructions import (
 )
 from basisbound.errors import HypothesisViolationError, MalformedInputError
 from basisbound.exactfield import QQ, ExactMatrix, PrimeFieldCtx, QuadExt, solve_linear
-from basisbound.families import SetFamily, VectorSystem
+from basisbound.families import SetFamily, VectorSystem, hamming_distance
 
 
 # -- independence ------------------------------------------------------------
@@ -186,6 +186,29 @@ def test_hamming_tight_congruence_sides_differ_for_failing_parameters():
     assert left != right
 
 
+
+@pytest.mark.parametrize("v", [1, 2, 3, 5, 6, 8])
+def test_hamming_tight_alpha_matches_elimination(v):
+    """The closed-form alpha = -1/lambda equals the solution of E alpha = 1
+    by the elimination engine, E the evaluation matrix d_H(v_s, v_t) -
+    lambda over F_p, for every (p, lambda) with lambda = 2v mod p."""
+    system = hadamard_plus_full(v).to_vector_system()
+    vectors = system.vectors
+    checked = 0
+    for p in (3, 5, 7, 11, 13):
+        if 2 * v % p == 0:
+            continue
+        for lam in (2 * v, 2 * v + p):
+            evaluation = ExactMatrix(
+                PrimeFieldCtx(p), [[hamming_distance(s, t) - lam for t in vectors] for s in vectors]
+            )
+            cert = hamming_tight_certificate(system, p, lam)
+            assert cert.passed
+            assert [int(c) for c in cert.coefficients] == solve_linear(evaluation, [1] * len(vectors))
+            checked += 1
+    assert checked >= 6
+
+
 # -- two-distance certificates ------------------------------------------------
 
 
@@ -228,6 +251,13 @@ def _mutated_schlafli(new_value="1/3"):
     return GramTwoDistance.from_json_dict(doc)
 
 
+def _single_mutated(gram, outside):
+    doc = gram.to_json_dict()
+    doc["gram"][0][1] = outside
+    doc["gram"][1][0] = outside
+    return GramTwoDistance.from_json_dict(doc)
+
+
 def test_two_distance_mutated_gram_fails_relation():
     cert = two_distance_certificate(_mutated_schlafli())
     assert cert.verdict == "fail"
@@ -240,14 +270,59 @@ def test_two_distance_single_mutated_entry_fails():
     """One symmetric pair of Gram entries outside {a, b} gives exactly two
     nonzero off-diagonal evaluation entries, over Q and over Q(sqrt 5)."""
     for gram, outside in ((schlafli27(), "1/3"), (pentagon(), "1/3+1/2*sqrt(5)")):
-        doc = gram.to_json_dict()
-        doc["gram"][0][1] = outside
-        doc["gram"][1][0] = outside
-        cert = two_distance_certificate(GramTwoDistance.from_json_dict(doc))
+        cert = two_distance_certificate(_single_mutated(gram, outside))
         assert cert.verdict == "fail"
         assert not cert.identity("off_diagonal_values_match_declared").holds
         off = cert.identity("evaluation_matrix_off_diagonal_zero")
         assert (off.left, off.holds) == ("2", False)
+
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [pentagon(), schlafli27(), _mutated_schlafli(), _single_mutated(schlafli27(), "1/3"),
+     _single_mutated(pentagon(), "1/3+1/2*sqrt(5)")],
+    ids=["pentagon", "schlafli27", "schlafli27-all-a-mutated", "schlafli27-one-entry",
+         "pentagon-one-entry"],
+)
+def test_two_distance_alpha_matches_elimination(gram):
+    """The coefficients, read off a diagonal evaluation matrix or solved on
+    one that is not, equal the solution of E alpha = 1 by the elimination
+    engine, E = (<v_s, v_m> - a)(<v_s, v_m> - b) built entry by entry."""
+    field = gram.field
+    a, b = field.coerce(gram.value_a), field.coerce(gram.value_b)
+    evaluation = ExactMatrix(
+        field,
+        [[field.mul(field.sub(g, a), field.sub(g, b)) for g in row] for row in gram.gram.entries],
+    )
+    cert = two_distance_certificate(gram)
+    alpha = solve_linear(evaluation, [field.one] * gram.count)
+    assert cert.coefficients == [field.format(x) for x in alpha]
+
+
+def test_two_distance_off_diagonal_coefficients_pinned():
+    """The solved path on a non-diagonal evaluation matrix: the two members
+    of the mutated pair get 1/((1-a)(1-b) + e), e the mutated product, and
+    every other member 1/((1-a)(1-b))."""
+    cert = two_distance_certificate(_single_mutated(schlafli27(), "1/3"))
+    assert cert.coefficients == ["36/43"] * 2 + ["8/9"] * 25
+    ident = cert.identity("coefficients_equal_inverse_product")
+    assert (ident.left, ident.right, ident.holds) == ("[36/43, 8/9]", "[8/9]", False)
+    cert = two_distance_certificate(_single_mutated(pentagon(), "1/3+1/2*sqrt(5)"))
+    assert cert.coefficients == ["117/217-27/217*sqrt(5)"] * 2 + ["4/5"] * 3
+    ident = cert.identity("coefficients_equal_inverse_product")
+    assert (ident.left, ident.holds) == ("[117/217-27/217*sqrt(5), 4/5]", False)
+
+
+def test_two_distance_singular_evaluation_matrix():
+    """a = 0, b = 1/2 and Gram entry -1/2 give E = [[1/2, 1/2], [1/2, 1/2]]:
+    the solved path reports the rank and no coefficients."""
+    gram = GramTwoDistance.from_json_dict(
+        {"n": 1, "N": 2, "a": "0", "b": "1/2", "gram": [["1", "-1/2"], ["-1/2", "1"]]}
+    )
+    cert = two_distance_certificate(gram)
+    assert cert.verdict == "fail" and cert.coefficients == []
+    assert cert.identity("coefficients_equal_inverse_product").left == "singular (rank 1)"
 
 
 # -- squared-distance ratio ----------------------------------------------------

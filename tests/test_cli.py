@@ -442,6 +442,33 @@ def test_malformed_json_exit_3(tmp_path, capsys):
     assert code == 3 and report["outcome"] == "error"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["ryser", "--lambda", "1", "--family"], ["independence", "--matrix"]],
+    ids=["ryser", "independence"],
+)
+def test_deeply_nested_json_exit_3(tmp_path, capsys, argv):
+    """A 200,000-deep array overflows the decoder's recursion: a malformed
+    input, reported as JSON with exit 3, not a traceback."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    code, report, _ = run_cli(capsys, "certify", *argv, str(deep))
+    assert code == 3
+    assert report["outcome"] == "error" and report["payload"]["kind"] == "MalformedInputError"
+
+
+@pytest.mark.parametrize("field", [{"kind": "rational"}, {"kind": "quadratic", "d": 5}])
+def test_unprintable_determinant_exit_3(tmp_path, capsys, field):
+    """det of diag(10^4000, 10^4000) has 8,001 digits, past the
+    interpreter's int-to-str limit: refused as a resource guard."""
+    big = "1" + "0" * 4000
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps({"field": field, "entries": [[big, "0"], ["0", big]]}))
+    code, report, _ = run_cli(capsys, "certify", "independence", "--matrix", str(matrix))
+    assert code == 3
+    assert report["outcome"] == "error" and report["payload"]["kind"] == "ResourceGuardError"
+
+
 def _strip_time(report):
     return {k: v for k, v in report.items() if k != "wall_time_s"}
 

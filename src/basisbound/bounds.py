@@ -91,32 +91,28 @@ class ModDistanceHypotheses:
     lambda_nonzero_mod_p: bool
     q_lambda_clause: bool
 
+    # (report name, field) of each clause, in report order.
+    CLAUSES = (
+        ("pPrime", "p_prime"),
+        ("pGeqQ", "p_geq_q"),
+        ("nNonzeroModP", "n_nonzero_mod_p"),
+        ("lambdaNonzeroModP", "lambda_nonzero_mod_p"),
+        ("qLambdaClause", "q_lambda_clause"),
+    )
+
+    def clauses(self) -> dict[str, bool]:
+        return {name: getattr(self, field) for name, field in self.CLAUSES}
+
     @property
     def holds(self) -> bool:
-        return (
-            self.p_prime
-            and self.p_geq_q
-            and self.n_nonzero_mod_p
-            and self.lambda_nonzero_mod_p
-            and self.q_lambda_clause
-        )
+        return all(self.clauses().values())
 
     @property
     def bound(self) -> int | None:
         return self.n * (self.q - 1) if self.holds else None
 
     def failing_clauses(self) -> list[str]:
-        out = []
-        for name, ok in (
-            ("pPrime", self.p_prime),
-            ("pGeqQ", self.p_geq_q),
-            ("nNonzeroModP", self.n_nonzero_mod_p),
-            ("lambdaNonzeroModP", self.lambda_nonzero_mod_p),
-            ("qLambdaClause", self.q_lambda_clause),
-        ):
-            if not ok:
-                out.append(name)
-        return out
+        return [name for name, ok in self.clauses().items() if not ok]
 
     def to_json_dict(self):
         return {
@@ -124,13 +120,7 @@ class ModDistanceHypotheses:
             "q": self.q,
             "p": self.p,
             "lambda": self.lam,
-            "clauses": {
-                "pPrime": self.p_prime,
-                "pGeqQ": self.p_geq_q,
-                "nNonzeroModP": self.n_nonzero_mod_p,
-                "lambdaNonzeroModP": self.lambda_nonzero_mod_p,
-                "qLambdaClause": self.q_lambda_clause,
-            },
+            "clauses": self.clauses(),
             "holds": self.holds,
             "bound": self.bound,
         }

@@ -6,6 +6,15 @@ Report JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 pass,
 Every exact scalar is serialized as a string in the shared scalar syntax,
 never as a float, so identical inputs produce byte-identical reports
 (modulo the wall_time_s field).
+
+Each `bound`, `construct` and `certify` subcommand is one row of the
+BOUNDS, CONSTRUCTIONS or CERTIFICATES table: name -> (help, argument
+names, runner).  The argument names, in order, give the subcommand's
+required flags (`lam` is `--lambda`), the runner's arguments and the
+inputs its report digests.  A FILE_ARGS name is a JSON file: the runner
+gets its document and the digest its bytes.  A TEXT_ARGS name is a scalar
+literal, every other name an int.  Only `construct lambda-design` declares
+its own flags.  GROUPS turns each table's runner results into reports.
 """
 
 from __future__ import annotations
@@ -70,6 +79,106 @@ PREDICATES = {
     "inter-const": PRED_INTERSECT_CONST,
 }
 
+FILE_ARGS = {"matrix", "vectors", "gram", "family", "design"}
+TEXT_ARGS = {"d1sq", "d2sq"}
+
+
+def _bound(calculator):
+    """Runner of a closed-form calculator: its value is the report's bound."""
+    return lambda *args: ("pass", {"bound": calculator(*args)})
+
+
+def _mod_distance_check(n, q, p, lam):
+    verdict = check_mod_distance_hypotheses(n, q, p, lam)
+    return ("pass" if verdict.holds else "hypothesis-violation"), verdict.to_json_dict()
+
+
+# Bound runners return (outcome, payload).
+BOUNDS = {
+    "delsarte": ("distance-count bound for q-ary systems", ("n", "q", "s"), _bound(delsarte_bound)),
+    "msd": ("spherical s-distance bound M(n,s)", ("n", "s"), _bound(msd_bound)),
+    "two-dist-max": ("maximal two-distance size n(n+3)/2", ("n",), _bound(two_distance_max)),
+    "mod-distance-check": ("hypothesis check for the modular constant-distance bound n(q-1)",
+                           ("n", "q", "p", "lam"), _mod_distance_check),
+    "conjecture": ("conjectured uniform two-intersection size", ("n", "w"),
+                   _bound(uniform_two_intersection_conjecture)),
+}
+
+
+def _lambda_design(design, pg, block_index):
+    base = projective_plane(pg) if design is None else SetFamily.from_json_dict(design)
+    return lambda_design_type1(base, block_index)
+
+
+# Construction runners return the built SetFamily or GramTwoDistance.
+CONSTRUCTIONS = {
+    "fano": ("the 7-point projective plane", (), fano_plane),
+    "pg": ("projective plane of prime order r", ("r",), projective_plane),
+    "hadamard": ("Paley-Hadamard design (4v-1, 2v-1, v-1)", ("v",), hadamard_design),
+    "hadamard-plus-full": ("Hadamard design plus the full ground set", ("v",), hadamard_plus_full),
+    "lambda-design": ("type-1 lambda-design from a symmetric design",
+                      ("design", "pg", "block_index"), _lambda_design),
+    "pentagon": ("regular pentagon two-distance set over Q(sqrt 5)", (), pentagon),
+    "schlafli27": ("the 27-line two-distance set in dimension 6", (), schlafli27),
+    "johnson": ("pair-sum vectors (e_i+e_j)/sqrt(2) in R^m", ("m",), johnson_pairs),
+}
+
+
+def _neumaier(n, count, d1sq, d2sq):
+    field = scalar_field([d1sq, d2sq])
+    return neumaier_check(n, count, field.parse(d1sq), field.parse(d2sq))
+
+
+# Certify runners return a Certificate.  They look the certifier, the loader
+# and the from_json_dict classmethod up by name on each call, so that the
+# benchmark's tracing hooks (perfbench/tracing.py), which replace those
+# attributes, see every call.
+CERTIFICATES = {
+    "independence": ("determinant criterion on an evaluation matrix", ("matrix",),
+                     lambda matrix: certify_independence(_load_matrix(matrix))),
+    "hamming-tight": ("tight modular constant-distance family", ("vectors", "p", "lam"),
+                      lambda vectors, p, lam: hamming_tight_certificate(
+                          VectorSystem.from_json_dict(vectors), p, lam)),
+    "two-distance": ("maximal spherical two-distance set", ("gram",),
+                     lambda gram: two_distance_certificate(GramTwoDistance.from_json_dict(gram))),
+    "neumaier": ("squared-distance ratio integrality", ("n", "count", "d1sq", "d2sq"), _neumaier),
+    "mod-design": ("modular design congruences", ("family", "p"),
+                   lambda family, p: mod_design_certificate(SetFamily.from_json_dict(family), p)),
+    "ryser": ("constant-intersection degree dichotomy", ("family", "lam"),
+              lambda family, lam: ryser_decompose(SetFamily.from_json_dict(family), lam)),
+}
+
+
+def _bound_report(kind, result):
+    outcome, payload = result
+    return outcome, payload, payload
+
+
+def _construct_report(kind, built):
+    data = built.to_json_dict()
+    if isinstance(built, SetFamily):
+        sets_sorted = sorted(list(s) for s in built.sets)
+        summary = {"n": built.n, "sets": len(built), "sets_sorted": sets_sorted}
+    else:
+        summary = {key: data[key] for key in ("n", "N", "a", "b")}
+    return "pass", {"name": kind, "summary": summary, "data": data}, data
+
+
+def _certify_report(kind, cert):
+    payload = cert.to_json_dict()
+    return cert.verdict, payload, payload
+
+
+# command -> (help, leaf table, (leaf name, runner result) -> (outcome,
+# payload, --out document)).
+GROUPS = {
+    "bound": ("closed-form bound calculators", BOUNDS, _bound_report),
+    "construct": ("build a named configuration", CONSTRUCTIONS, _construct_report),
+    "certify": ("run a certificate", CERTIFICATES, _certify_report),
+}
+# The groups whose leaves take --out, and its help text.
+OUT_HELP = {"construct": "write the constructed JSON document to this file", "certify": None}
+
 
 class UsageError(Exception):
     pass
@@ -88,94 +197,34 @@ class Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> Parser:
-    parser = Parser(prog="basisbound", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    bound = sub.add_parser("bound", help="closed-form bound calculators")
-    bound_sub = bound.add_subparsers(dest="bound_kind", required=True)
-    p = bound_sub.add_parser("delsarte", help="distance-count bound for q-ary systems")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p = bound_sub.add_parser("msd", help="spherical s-distance bound M(n,s)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p = bound_sub.add_parser("two-dist-max", help="maximal two-distance size n(n+3)/2")
-    p.add_argument("--n", type=int, required=True)
-    p = bound_sub.add_parser(
-        "mod-distance-check",
-        help="hypothesis check for the modular constant-distance bound n(q-1)",
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=int, required=True)
-    p = bound_sub.add_parser("conjecture", help="conjectured uniform two-intersection size")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--w", type=int, required=True)
-
-    construct = sub.add_parser("construct", help="build a named configuration")
-    construct_sub = construct.add_subparsers(dest="construct_kind", required=True)
-    for name, help_text in (
-        ("fano", "the 7-point projective plane"),
-        ("pg", "projective plane of prime order r"),
-        ("hadamard", "Paley-Hadamard design (4v-1, 2v-1, v-1)"),
-        ("hadamard-plus-full", "Hadamard design plus the full ground set"),
-        ("lambda-design", "type-1 lambda-design from a symmetric design"),
-        ("pentagon", "regular pentagon two-distance set over Q(sqrt 5)"),
-        ("schlafli27", "the 27-line two-distance set in dimension 6"),
-        ("johnson", "pair-sum vectors (e_i+e_j)/sqrt(2) in R^m"),
-    ):
-        p = construct_sub.add_parser(name, help=help_text)
-        if name == "pg":
-            p.add_argument("--r", type=int, required=True)
-        elif name in ("hadamard", "hadamard-plus-full"):
-            p.add_argument("--v", type=int, required=True)
-        elif name == "lambda-design":
-            group = p.add_mutually_exclusive_group(required=True)
-            group.add_argument("--design", help="symmetric-design family JSON file")
-            group.add_argument("--pg", type=int, help="build from the order-r projective plane")
-            p.add_argument("--block-index", type=int, default=0)
-        elif name == "johnson":
-            p.add_argument("--m", type=int, required=True)
-        p.add_argument("--out", help="write the constructed JSON document to this file")
-
-    certify = sub.add_parser("certify", help="run a certificate")
-    certify_sub = certify.add_subparsers(dest="certify_kind", required=True)
-    p = certify_sub.add_parser("independence", help="determinant criterion on an evaluation matrix")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--out")
-    p = certify_sub.add_parser("hamming-tight", help="tight modular constant-distance family")
-    p.add_argument("--vectors", required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=int, required=True)
-    p.add_argument("--out")
-    p = certify_sub.add_parser("two-distance", help="maximal spherical two-distance set")
-    p.add_argument("--gram", required=True)
-    p.add_argument("--out")
-    p = certify_sub.add_parser("neumaier", help="squared-distance ratio integrality")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--d1sq", required=True)
-    p.add_argument("--d2sq", required=True)
-    p.add_argument("--out")
-    p = certify_sub.add_parser("mod-design", help="modular design congruences")
-    p.add_argument("--family", required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--out")
-    p = certify_sub.add_parser("ryser", help="constant-intersection degree dichotomy")
-    p.add_argument("--family", required=True)
-    p.add_argument("--lambda", dest="lam", type=int, required=True)
-    p.add_argument("--out")
+    # --help shows the docstring's first two paragraphs, for users; the
+    # rest is for readers of this module.
+    parser = Parser(prog="basisbound", description="\n\n".join(__doc__.split("\n\n")[:2]))
+    # prog= is the prefix argparse would format from the usage line (no
+    # positionals precede a subcommand); passing it skips that formatting.
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
+    for command, (help_text, table, _) in GROUPS.items():
+        group = sub.add_parser(command, help=help_text)
+        leaves = group.add_subparsers(dest=f"{command}_kind", required=True, prog=group.prog)
+        for name, (leaf_help, arg_names, _) in table.items():
+            p = leaves.add_parser(name, help=leaf_help)
+            if name == "lambda-design":
+                base = p.add_mutually_exclusive_group(required=True)
+                base.add_argument("--design", help="symmetric-design family JSON file")
+                base.add_argument("--pg", type=int, help="build from the order-r projective plane")
+                p.add_argument("--block-index", type=int, default=0)
+            else:
+                for arg in arg_names:
+                    flag = "--lambda" if arg == "lam" else "--" + arg
+                    typed = None if arg in FILE_ARGS or arg in TEXT_ARGS else int
+                    p.add_argument(flag, dest=arg, required=True, type=typed)
+            if command in OUT_HELP:
+                p.add_argument("--out", help=OUT_HELP[command])
 
     p = sub.add_parser("search", help="exhaustive maximum-family search")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument(
-        "--pred",
-        required=True,
-        choices=list(PREDICATES),
-    )
+    p.add_argument("--pred", required=True, choices=list(PREDICATES))
     p.add_argument("--lambda", dest="lam", type=int)
     p.add_argument("--p", type=int)
     p.add_argument("--dist-list", help="comma-separated allowed distances for dist-set")
@@ -225,110 +274,31 @@ def _load_matrix(doc) -> ExactMatrix:
             field = QuadExtField(int(field_doc["d"]))
         else:
             raise MalformedInputError(f"unknown field kind {kind!r}")
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedInputError(f"bad matrix document: {exc}") from exc
     if not (isinstance(entries, list) and all(isinstance(row, list) for row in entries)):
         raise MalformedInputError("matrix entries must be a list of rows")
     return ExactMatrix(field, [[field.parse(str(x)) for x in row] for row in entries])
 
 
-def _family_summary(family: SetFamily) -> dict:
-    return {
-        "n": family.n,
-        "sets": len(family),
-        "sets_sorted": sorted(list(s) for s in family.sets),
-    }
-
-
-def _run_construct(args):
-    inputs = []
-    if args.construct_kind == "fano":
-        data = fano_plane().to_json_dict()
-    elif args.construct_kind == "pg":
-        data = projective_plane(args.r).to_json_dict()
-        inputs.append(args.r)
-    elif args.construct_kind == "hadamard":
-        data = hadamard_design(args.v).to_json_dict()
-        inputs.append(args.v)
-    elif args.construct_kind == "hadamard-plus-full":
-        data = hadamard_plus_full(args.v).to_json_dict()
-        inputs.append(args.v)
-    elif args.construct_kind == "lambda-design":
-        if args.design is not None:
-            doc, raw = _read_json(args.design)
-            base = SetFamily.from_json_dict(doc)
+def _run_leaf(args):
+    """A table row's run: read its file arguments, call its runner and
+    digest the values (a file's bytes); an omitted optional flag (one side
+    of lambda-design's --design/--pg) is not digested."""
+    kind = getattr(args, f"{args.command}_kind")
+    _, table, report = GROUPS[args.command]
+    _, arg_names, runner = table[kind]
+    values, inputs = [], []
+    for name in arg_names:
+        value = getattr(args, name)
+        if value is not None and name in FILE_ARGS:
+            value, raw = _read_json(value)
             inputs.append(raw)
-        else:
-            base = projective_plane(args.pg)
-            inputs.append(args.pg)
-        inputs.append(args.block_index)
-        data = lambda_design_type1(base, args.block_index).to_json_dict()
-    elif args.construct_kind == "pentagon":
-        data = pentagon().to_json_dict()
-    elif args.construct_kind == "schlafli27":
-        data = schlafli27().to_json_dict()
-    else:
-        data = johnson_pairs(args.m).to_json_dict()
-        inputs.append(args.m)
-    if "sets" in data:
-        summary = _family_summary(SetFamily.from_json_dict(data))
-    else:
-        summary = {"n": data["n"], "N": data["N"], "a": data["a"], "b": data["b"]}
-    payload = {"name": args.construct_kind, "summary": summary, "data": data}
-    return "pass", payload, inputs, data
-
-
-def _run_certify(args):
-    inputs = []
-    if args.certify_kind == "independence":
-        doc, raw = _read_json(args.matrix)
-        inputs.append(raw)
-        cert = certify_independence(_load_matrix(doc))
-    elif args.certify_kind == "hamming-tight":
-        doc, raw = _read_json(args.vectors)
-        inputs.extend([raw, args.p, args.lam])
-        system = VectorSystem.from_json_dict(doc)
-        cert = hamming_tight_certificate(system, args.p, args.lam)
-    elif args.certify_kind == "two-distance":
-        doc, raw = _read_json(args.gram)
-        inputs.append(raw)
-        cert = two_distance_certificate(GramTwoDistance.from_json_dict(doc))
-    elif args.certify_kind == "neumaier":
-        inputs.extend([args.n, args.count, args.d1sq, args.d2sq])
-        field = scalar_field([args.d1sq, args.d2sq])
-        cert = neumaier_check(args.n, args.count, field.parse(args.d1sq), field.parse(args.d2sq))
-    elif args.certify_kind == "mod-design":
-        doc, raw = _read_json(args.family)
-        inputs.extend([raw, args.p])
-        cert = mod_design_certificate(SetFamily.from_json_dict(doc), args.p)
-    else:
-        doc, raw = _read_json(args.family)
-        inputs.extend([raw, args.lam])
-        cert = ryser_decompose(SetFamily.from_json_dict(doc), args.lam)
-    payload = cert.to_json_dict()
-    return cert.verdict, payload, inputs, payload
-
-
-def _run_bound(args):
-    if args.bound_kind == "delsarte":
-        value = delsarte_bound(args.n, args.q, args.s)
-        inputs = [args.n, args.q, args.s]
-    elif args.bound_kind == "msd":
-        value = msd_bound(args.n, args.s)
-        inputs = [args.n, args.s]
-    elif args.bound_kind == "two-dist-max":
-        value = two_distance_max(args.n)
-        inputs = [args.n]
-    elif args.bound_kind == "conjecture":
-        value = uniform_two_intersection_conjecture(args.n, args.w)
-        inputs = [args.n, args.w]
-    else:
-        verdict = check_mod_distance_hypotheses(args.n, args.q, args.p, args.lam)
-        payload = verdict.to_json_dict()
-        outcome = "pass" if verdict.holds else "hypothesis-violation"
-        return outcome, payload, [args.n, args.q, args.p, args.lam], payload
-    payload = {"bound": value}
-    return "pass", payload, inputs, payload
+        elif value is not None:
+            inputs.append(value)
+        values.append(value)
+    outcome, payload, document = report(kind, runner(*values))
+    return outcome, payload, inputs, document
 
 
 def _run_search(args):
@@ -364,16 +334,11 @@ def _run_verify(args):
     return ("pass" if ok else "fail"), payload, [args.filter or ""], payload
 
 
+RUNNERS = {"search": _run_search, "verify": _run_verify}
+
+
 def dispatch(args) -> tuple[str, dict, list, dict]:
-    if args.command == "bound":
-        return _run_bound(args)
-    if args.command == "construct":
-        return _run_construct(args)
-    if args.command == "certify":
-        return _run_certify(args)
-    if args.command == "search":
-        return _run_search(args)
-    return _run_verify(args)
+    return RUNNERS.get(args.command, _run_leaf)(args)
 
 
 def _error_payload(exc) -> dict:

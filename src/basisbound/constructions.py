@@ -121,7 +121,7 @@ class GramTwoDistance:
             count = int(doc["N"])
             scalars = [doc["a"], doc["b"]]
             grid = doc["gram"]
-        except (KeyError, TypeError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedInputError(f"bad gram document: {exc}") from exc
         if not (isinstance(grid, list) and all(isinstance(row, list) for row in grid)):
             raise MalformedInputError("gram must be a list of rows")
@@ -136,7 +136,7 @@ class GramTwoDistance:
         if coords is not None:
             try:
                 coords = tuple(tuple(float(x) for x in c) for c in coords)
-            except (TypeError, OverflowError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise MalformedInputError(f"bad coordinates: {exc}") from exc
             if any(len(c) < n for c in coords):
                 raise MalformedInputError(f"each coordinate row needs {n} entries")

@@ -96,6 +96,17 @@ def parse_rational(s: str) -> Fraction:
         return Fraction(s)
     except ZeroDivisionError as exc:
         raise MalformedInputError(f"zero denominator: {s!r}") from exc
+    except ValueError as exc:  # more digits than int() converts
+        raise MalformedInputError(f"bad rational literal: {exc}") from exc
+
+
+def _decimal(s: str) -> int:
+    """int(s) of a digit string; one that int() refuses (more digits than
+    it converts, or a digit such as '²' that is not decimal) is malformed."""
+    try:
+        return int(s)
+    except ValueError as exc:
+        raise MalformedInputError(f"bad decimal literal: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -342,7 +353,7 @@ class PrimeFieldCtx:
         s = s.strip()
         if not s.isdigit():
             raise MalformedInputError(f"modular scalar must be a decimal residue: {s!r}")
-        v = int(s)
+        v = _decimal(s)
         if not 0 <= v < self.p:
             raise MalformedInputError(f"residue {v} outside [0, {self.p})")
         return v
@@ -428,11 +439,11 @@ class QuadExtField:
         m = _QUAD_RE.match(s)
         if not m:
             raise MalformedInputError(f"not a quadratic scalar literal: {s!r}")
-        rad = int(m.group("rad"))
+        rad = _decimal(m.group("rad"))
         if rad != self.d:
             raise MalformedInputError(f"radicand {rad} does not match field sqrt({self.d})")
-        rat = Fraction(m.group("rat")) if m.group("rat") else Fraction(0)
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        rat = parse_rational(m.group("rat")) if m.group("rat") else Fraction(0)
+        coef = parse_rational(m.group("coef")) if m.group("coef") else Fraction(1)
         if m.group("sign") == "-":
             coef = -coef
         elif m.group("sign") is None and m.group("rat") is not None:
@@ -469,7 +480,7 @@ def scalar_field(values):
         if isinstance(x, QuadExt):
             radicands.add(x.d)
         elif isinstance(x, str):
-            radicands.update(int(r) for r in _RADICAND_RE.findall(x))
+            radicands.update(_decimal(r) for r in _RADICAND_RE.findall(x))
         elif isinstance(x, bool) or not isinstance(x, (int, Fraction)):
             raise MalformedInputError(f"not an exact scalar: {x!r}")
     if len(radicands) > 1:

@@ -67,7 +67,7 @@ class VectorSystem:
     def from_json_dict(cls, doc):
         try:
             return cls.from_lists(int(doc["n"]), int(doc["q"]), doc["vectors"])
-        except (KeyError, TypeError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedInputError(f"bad vector-system document: {exc}") from exc
 
 
@@ -125,7 +125,7 @@ class SetFamily:
     def from_json_dict(cls, doc):
         try:
             return cls.from_sets(int(doc["n"]), doc["sets"])
-        except (KeyError, TypeError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedInputError(f"bad family document: {exc}") from exc
 
 

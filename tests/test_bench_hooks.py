@@ -4,7 +4,8 @@ traced benchmark run.  Resolve every target here the way
 `perfbench/tracing.py` does (`Tracer.hooks`), so a rename fails the tests.
 Then run one traced round of the `certify` and `search-deep` job lists in
 process, as `perfbench/worker.py` does, and check that every job passes the
-benchmark's oracle and that the round's metrics are strict JSON."""
+benchmark's oracle, that the round entered every hooked span it should,
+and that the round's metrics are strict JSON."""
 
 import contextlib
 import importlib
@@ -52,8 +53,9 @@ def test_hook_target_resolves(name, module_name, path):
 
 
 def _traced_round(workload, workdir):
-    """(tracer, round metrics) of one traced round of the workload's jobs;
-    each job's report must pass the benchmark's oracle."""
+    """(tracer, names of the hooked spans entered, round metrics) of one
+    traced round of the workload's jobs; each job's report must pass the
+    benchmark's oracle."""
     jobs = _workloads.build_jobs(workload, 2020, workdir, constructions)
     tracer = _tracing.Tracer()
     with tracer.hooks(_tracing.HOOKS):
@@ -62,16 +64,36 @@ def _traced_round(workload, workdir):
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                 code = cli.main(list(job.argv))
             assert _workloads.check(job, code, out.getvalue()) == ("ok", ""), job.name
-    return tracer, tracer.round_metrics()
+    entered = {span[0] for span in tracer.spans} - {"trace.observe"}
+    return tracer, entered, tracer.round_metrics()
+
+
+# The hooked spans each round must enter.  A hook on a name the CLI bound
+# at import time would wrap a function that is never called, and its span
+# would be missing here.
+ENTERED = {
+    "certify": {
+        "cli.main", "certifier.independence", "certifier.hamming_tight",
+        "certifier.two_distance", "certifier.mod_design", "certifier.ryser",
+        "families.parse", "exactfield.det", "exactfield.solve", "exactfield.inertia",
+    },
+    "search-deep": {
+        "cli.main", "search.search_max", "search.enumerate", "kernel.adjacency",
+        "kernel.extend_max", "kernel.witness",
+    },
+}
 
 
 @pytest.mark.parametrize("workload", ["certify", "search-deep"])
 def test_traced_round_metrics_are_strict_json(tmp_path, workload):
-    tracer, metrics = _traced_round(workload, tmp_path)
+    tracer, entered, metrics = _traced_round(workload, tmp_path)
+    assert entered == ENTERED[workload]
     assert not tracer.absent
     assert json.loads(json.dumps(metrics, allow_nan=False)) == metrics
     if workload == "certify":
         assert metrics["exactfield.calls"] == 7
         assert metrics["exactfield.max_dim"] == 48
+        assert all(metrics[f"certifier.{name}_self_s"] > 0 for name in (
+            "independence", "hamming_tight", "two_distance", "mod_design", "ryser"))
     else:
         assert metrics["kernel.nodes"] > 0

@@ -1,5 +1,6 @@
 """Closed-form bound calculators and the modular-distance hypothesis check."""
 
+import json
 import sys
 from math import comb
 
@@ -88,6 +89,17 @@ def test_mod_distance_check_q_lambda_clause_fails():
     assert not verdict.holds
     assert verdict.failing_clauses() == ["qLambdaClause"]
     assert verdict.bound is None
+
+
+def test_mod_distance_check_clause_order():
+    """The payload and failing_clauses() list the clauses in one fixed order."""
+    verdict = check_mod_distance_hypotheses(4, 5, 4, 4)
+    assert verdict.failing_clauses() == ["pPrime", "pGeqQ", "nNonzeroModP", "lambdaNonzeroModP"]
+    assert json.dumps(verdict.to_json_dict()) == (
+        '{"n": 4, "q": 5, "p": 4, "lambda": 4, "clauses": {"pPrime": false, "pGeqQ": false, '
+        '"nNonzeroModP": false, "lambdaNonzeroModP": false, "qLambdaClause": true}, '
+        '"holds": false, "bound": null}'
+    )
 
 
 def test_mod_distance_check_n_clause_fails():

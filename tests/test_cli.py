@@ -1,22 +1,29 @@
 """CLI: subcommand behavior, exit codes, report determinism, file round
 trips and fault injection."""
 
+import argparse
 import contextlib
 import functools
 import io
 import json
 import operator
+import shlex
 import tempfile
 import time
 from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from basisbound.cli import main
+from basisbound import errors
+from basisbound.cli import EXIT_CODES, build_parser, main
 from basisbound.constructions import fano_plane, hadamard_plus_full, pentagon
+
+
+# A decimal literal longer than the interpreter's int-to-str limit (4,300).
+LONG = "1" * 4401
 
 
 def run_cli(capsys, *argv):
@@ -278,15 +285,48 @@ def test_certify_independence_entries_not_rows_exit_3(tmp_path, capsys, entries)
          '{"n": 1, "q": 1e999, "vectors": [[0]]}'),
         (["hamming-tight", "--p", "3", "--lambda", "1", "--vectors"],
          '{"n": 1, "q": 2, "vectors": [[0.0], [1]]}'),
+        # Literals that int() or Fraction() refuse with ValueError: text, a
+        # non-decimal digit, and more digits than the interpreter converts.
+        (["independence", "--matrix"],
+         f'{{"field": {{"kind": "rational"}}, "entries": [["{LONG}"]]}}'),
+        (["independence", "--matrix"],
+         f'{{"field": {{"kind": "prime", "p": 5}}, "entries": [["{LONG}"]]}}'),
+        (["independence", "--matrix"],
+         f'{{"field": {{"kind": "quadratic", "d": 5}}, "entries": [["{LONG}*sqrt(5)"]]}}'),
+        (["independence", "--matrix"],
+         '{"field": {"kind": "prime", "p": "abc"}, "entries": [["1"]]}'),
+        (["independence", "--matrix"],
+         '{"field": {"kind": "prime", "p": 5}, "entries": [["\u00b2"]]}'),
+        (["two-distance", "--gram"],
+         f'{{"n": 1, "N": 2, "a": "{LONG}", "b": "0", "gram": [["1", "0"], ["0", "1"]]}}'),
+        (["two-distance", "--gram"],
+         '{"n": "abc", "N": 2, "a": "0", "b": "-1/2", "gram": [["1", "0"], ["0", "1"]]}'),
+        (["two-distance", "--gram"],
+         '{"n": 1, "N": 2, "a": "0", "b": "-1/2", "gram": [["1", "0"], ["0", "1"]], '
+         '"coords": "ab"}'),
+        (["ryser", "--lambda", "1", "--family"], '{"n": "abc", "sets": [[1]]}'),
+        (["hamming-tight", "--p", "3", "--lambda", "1", "--vectors"],
+         '{"n": "abc", "q": 2, "vectors": [[0]]}'),
     ],
     ids=["matrix-prime-without-p", "matrix-radicand-null", "gram-a-number", "gram-not-rows",
          "gram-coords-not-rows", "gram-coords-short-row", "family-n-overflow",
-         "vectors-q-overflow", "vectors-float-entry"],
+         "vectors-q-overflow", "vectors-float-entry", "matrix-long-rational",
+         "matrix-long-residue", "matrix-long-surd", "matrix-p-text", "matrix-superscript-residue",
+         "gram-long-a", "gram-n-text", "gram-coords-text", "family-n-text", "vectors-n-text"],
 )
 def test_certify_malformed_document_exit_3(tmp_path, capsys, argv, document):
     path = tmp_path / "doc.json"
     path.write_text(document)
     code, report, _ = run_cli(capsys, "certify", *argv, str(path))
+    assert code == 3
+    assert report["outcome"] == "error" and report["payload"]["kind"] == "MalformedInputError"
+
+
+@pytest.mark.parametrize("d2sq", [LONG, f"sqrt({LONG})"], ids=["rational", "radicand"])
+def test_certify_neumaier_long_literal_exit_3(capsys, d2sq):
+    code, report, _ = run_cli(
+        capsys, "certify", "neumaier", "--n", "5", "--count", "15", "--d1sq", "1", "--d2sq", d2sq
+    )
     assert code == 3
     assert report["outcome"] == "error" and report["payload"]["kind"] == "MalformedInputError"
 
@@ -507,6 +547,12 @@ def test_emitted_files_reload(tmp_path, capsys):
 
 # -- loader fuzzing -------------------------------------------------------------
 
+# The error kinds a report may name: the CLI's usage error and every
+# library error (a bare ValueError would not say which input was bad).
+ERROR_KINDS = {"UsageError"} | {
+    name for name, obj in vars(errors).items()
+    if isinstance(obj, type) and issubclass(obj, errors.BasisBoundError)
+}
 _DELETE = object()
 _FUZZ_CASES = {
     # subcommand: (document option, extra argv, valid document, key paths to overwrite)
@@ -571,7 +617,8 @@ def _edit(doc, path, value):
 @given(_mutated_documents())
 def test_certify_loaders_never_crash(case):
     """Any JSON value in any key of a certify document gives a JSON report,
-    an exit code in 0..3, and exit 1 only from a failed certificate."""
+    an exit code in 0..3, exit 1 only from a failed certificate, and exit 3
+    only from a usage error or one of the library's own errors."""
     kind, edits = case
     option, extra, base, _ = _FUZZ_CASES[kind]
     doc = json.loads(json.dumps(base))
@@ -587,3 +634,75 @@ def test_certify_loaders_never_crash(case):
     assert code in (0, 1, 2, 3)
     if code == 1:
         assert report["payload"]["verdict"] == "fail"
+    if code == 3:
+        assert report["payload"]["kind"] in ERROR_KINDS, report["payload"]
+
+
+# -- argv fuzzing ---------------------------------------------------------------
+
+
+def _leaf_flags(parser, path=()):
+    """(subcommand path, option flags) of every leaf under `parser`, with the
+    choices of each flag that has them; --help and --out are left out."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _leaf_flags(child, path + (name,))
+            return
+    flags = [(a.option_strings[0], tuple(a.choices or ())) for a in parser._actions
+             if a.option_strings and a.dest not in ("help", "out")]
+    yield path, flags
+
+
+LEAVES = [leaf for leaf in _leaf_flags(build_parser()) if leaf[0] != ("verify",)]
+# A search over more than this many vectors is valid but can run for
+# minutes (n = q = 5); the search tests cover that scale.
+MAX_FUZZ_SPACE = 4**5
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("argv")
+    (folder / "fano.json").write_text(json.dumps(fano_plane().to_json_dict()))
+    (folder / "pentagon.json").write_text(json.dumps(pentagon().to_json_dict()))
+    return [str(folder / "fano.json"), str(folder / "pentagon.json"), str(folder / "missing.json")]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_argv_fuzz_reports(fuzz_files, data):
+    """Any subcommand (verify excepted) with each flag omitted or given one
+    of a few tokens gives one JSON report of its argv, an exit code in
+    0..3 that matches the outcome, and exit 1 only on outcome fail."""
+    path, flags = data.draw(st.sampled_from(LEAVES))
+    argv = list(path)
+    values = {}
+    for flag, choices in flags:
+        tokens = st.integers(-2, 5).map(str) | st.sampled_from(
+            ["x", "1/0", "sqrt(5)", "1,2", *fuzz_files, *choices])
+        token = data.draw(st.none() | tokens, label=flag)
+        if token is not None:
+            argv += [flag, token]
+            values[flag] = token
+    if path == ("search",) and values.get("--n", "").isdigit() and values.get("--q", "").isdigit():
+        assume(int(values["--q"]) ** int(values["--n"]) <= MAX_FUZZ_SPACE)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    report = json.loads(out.getvalue())
+    assert report["command"] == argv
+    # Exit 1 is the code of outcome fail alone.
+    assert code in (0, 1, 2, 3) and code == EXIT_CODES[report["outcome"]]
+    assert "Traceback" not in err.getvalue()
+
+
+def test_readme_command_lines_parse():
+    """Every `basisbound ...` line of README's Command line block names a
+    subcommand and flags that the parser accepts."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("basisbound ")]
+    assert lines
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])

@@ -4,7 +4,8 @@ meet a linear-algebra bound with equality, and exact verification of the
 identities that equality forces (modular distance congruences, the maximal
 two-distance relation, design congruences, the Ryser degree dichotomy).
 
-Every scalar goes through the field objects of `exactfield`.  Each
+The field objects of `exactfield` parse, coerce and format every scalar;
+the scalars do their own arithmetic, residues mod p included.  Each
 member function vanishes on every other member once the hypotheses hold,
 so the evaluation matrix is diagonal and the coefficients of the constant
 1 are read off its diagonal (Ryser's are stated in closed form).  They are
@@ -27,7 +28,12 @@ from fractions import Fraction
 
 from .bounds import two_distance_max
 from .constructions import GramTwoDistance
-from .errors import HypothesisViolationError, MalformedInputError, SingularSystemError
+from .errors import (
+    HypothesisViolationError,
+    MalformedInputError,
+    ResourceGuardError,
+    SingularSystemError,
+)
 from .exactfield import (
     QQ,
     ExactMatrix,
@@ -43,6 +49,11 @@ from .exactfield import (
 from .families import SetFamily, VectorSystem, degrees, hamming_distance, set_bits
 
 FLOAT_TOLERANCE = 1e-9
+
+# The hamming-tight indicators solve one q x q Vandermonde system per
+# symbol, about q^4 residue products: q = 64 (2^24 products) takes about a
+# second, q = 120 about ten.
+MAX_INTERPOLATION_WORK = 1 << 24
 
 PASS = "pass"
 FAIL = "fail"
@@ -121,7 +132,7 @@ def certify_independence(b: ExactMatrix) -> Certificate:
         raise MalformedInputError("independence certificate needs a square matrix")
     det = determinant(b)
     size = b.nrows
-    singular = b.field.is_zero(det)
+    singular = det == 0
     # A nonsingular square matrix has full rank, so only det = 0 needs rank.
     rk = rank(b) if singular else size
     ident = Identity("determinant_nonzero", b.field.format(det), "0", not singular)
@@ -166,7 +177,8 @@ def hamming_tight_certificate(system: VectorSystem, p: int, lam: int) -> Certifi
     -lambda I, so the constant 1 is the combination with every coefficient
     -1/lambda.  That combination is re-expanded over the monomial
     coefficients of the l_a, independently of the distances, and the forced
-    congruence q*lambda = n(q-1)+1 mod p is checked.
+    congruence q*lambda = n(q-1)+1 mod p is checked.  A tight system with
+    q^4 > MAX_INTERPOLATION_WORK is refused before the l_a are interpolated.
     """
     ctx = PrimeFieldCtx(p)
     p_value = ctx.p
@@ -215,13 +227,17 @@ def hamming_tight_certificate(system: VectorSystem, p: int, lam: int) -> Certifi
 
     # f_s(v_t) = d_H(v_s, v_t) - lambda = -lambda [s = t] mod p, so the
     # evaluation matrix is -lambda I and every coefficient is -1/lambda.
-    alpha = ctx.neg(ctx.inv(lam_res))
+    alpha = -pow(lam_res, -1, p_value) % p_value
     alpha_text = _format_list(ctx, [alpha])
     coefficients = [ctx.format(alpha)] * member_count
     identities = [
         Identity("evaluation_matrix_nonsingular", str(member_count), str(member_count), True),
         Identity("coefficients_equal_minus_inverse_lambda", alpha_text, alpha_text, True),
     ]
+    if q**4 > MAX_INTERPOLATION_WORK:
+        raise ResourceGuardError(
+            f"interpolating {q} indicators: work {q**4} exceeds the guard {MAX_INTERPOLATION_WORK}"
+        )
     # Re-expand alpha sum_t f_t over the monomials: slot 0 holds the
     # constant, slot 1+i(q-1)+(j-1) the monomial x_i^j.
     indicators = [indicator_poly(a, q, ctx) for a in range(q)]
@@ -283,13 +299,13 @@ def two_distance_certificate(gram: GramTwoDistance) -> Certificate:
     field = gram.field
     a = field.coerce(gram.value_a)
     b = field.coerce(gram.value_b)
-    if field.eq(a, field.one) or field.eq(b, field.one):
+    if a == 1 or b == 1:
         raise HypothesisViolationError("inner products equal to 1 are not allowed", clause="valuesNotOne")
     n, count = gram.n, gram.count
     maximal = two_distance_max(n)
     hypotheses = [
         ("valuesDifferFromOne", True),
-        ("valuesDistinct", not field.eq(a, b)),
+        ("valuesDistinct", a != b),
         ("sizeIsMaximal", count == maximal),
     ]
     details = {"n": n, "N": count, "maximal_size": maximal}
@@ -300,9 +316,7 @@ def two_distance_certificate(gram: GramTwoDistance) -> Certificate:
 
     identities = []
     off_values = gram.off_diagonal_values()
-    two_valued = len(off_values) <= 2 and all(
-        field.eq(x, a) or field.eq(x, b) for x in off_values
-    )
+    two_valued = len(off_values) <= 2 and all(x in (a, b) for x in off_values)
     identities.append(
         Identity(
             "off_diagonal_values_match_declared",
@@ -317,11 +331,10 @@ def two_distance_certificate(gram: GramTwoDistance) -> Certificate:
     hypotheses.append(("gramPositiveSemidefinite", is_psd))
     hypotheses.append(("gramRankAtMostAmbient", rk <= n))
 
-    one = field.one
-    target = field.mul(field.sub(one, a), field.sub(one, b))
+    target = (1 - a) * (1 - b)
     entries = gram.gram.entries
-    product = {g: field.mul(field.sub(g, a), field.sub(g, b)) for g in set().union(*entries)}
-    nonzero = {g for g, v in product.items() if not field.is_zero(v)}
+    product = {g: (g - a) * (g - b) for g in set().union(*entries)}
+    nonzero = {g for g, v in product.items() if v != 0}
     off_nonzero = sum(
         1 for s, r in enumerate(entries) for m, g in enumerate(r) if m != s and g in nonzero
     )
@@ -334,17 +347,17 @@ def two_distance_certificate(gram: GramTwoDistance) -> Certificate:
             "evaluation_matrix_diagonal_value",
             _format_list(field, diag_values),
             _format_list(field, [target]),
-            len(diag_values) == 1 and field.eq(diag_values[0], target),
+            diag_values == [target],
         )
     )
 
     # The unit diagonal makes every diagonal entry (1-a)(1-b), nonzero as
     # a, b != 1; with no off-diagonal entry left, alpha = 1/target.
-    expected = field.inv(target)
+    expected = 1 / target
     try:
         if off_nonzero:
             evaluation = ExactMatrix(field, [[product[g] for g in r] for r in entries])
-            alpha = solve_linear(evaluation, [one] * count)
+            alpha = solve_linear(evaluation, [field.one] * count)
         else:
             alpha = [expected] * count
         coefficients = [field.format(x) for x in alpha]
@@ -354,7 +367,7 @@ def two_distance_certificate(gram: GramTwoDistance) -> Certificate:
                 "coefficients_equal_inverse_product",
                 _format_list(field, distinct),
                 _format_list(field, [expected]),
-                len(distinct) == 1 and field.eq(distinct[0], expected),
+                distinct == [expected],
             )
         )
     except SingularSystemError as exc:
@@ -365,21 +378,20 @@ def two_distance_certificate(gram: GramTwoDistance) -> Certificate:
 
     # N(ab + 1/n) = (1-a)(1-b): left side from N, n, a, b; right side from
     # a, b alone.
-    inv_n = field.coerce(Fraction(1, n))
-    left = field.mul(field.coerce(count), field.add(field.mul(a, b), inv_n))
+    left = count * (a * b + Fraction(1, n))
     identities.append(
         Identity(
             "maximal_two_distance_relation",
             field.format(left),
             field.format(target),
-            field.eq(left, target),
+            left == target,
         )
     )
 
     if gram.coords is not None:
         try:
-            ab_sum = float(field.add(a, b))
-            rhs = n * float(target) - n * count * float(field.mul(a, b))
+            ab_sum = float(a + b)
+            rhs = n * float(target) - n * count * float(a * b)
         except OverflowError:
             ab_sum = rhs = math.inf
         # A declared value beyond float range fails both float checks.
@@ -421,7 +433,7 @@ def neumaier_check(n: int, count: int, d1sq, d2sq) -> Certificate:
     d1sq, d2sq = field.coerce(d1sq), field.coerce(d2sq)
     if field.sign(d1sq) <= 0:
         raise MalformedInputError("squared distances must be positive")
-    if field.sign(field.sub(d2sq, d1sq)) <= 0:
+    if field.sign(d2sq - d1sq) <= 0:
         raise MalformedInputError("expected d1^2 < d2^2 (swap the arguments)")
     threshold = max(2 * n + 1, 5)
     applicable = count > threshold
@@ -430,7 +442,7 @@ def neumaier_check(n: int, count: int, d1sq, d2sq) -> Certificate:
     if not applicable:
         return _certificate("neumaier", hypotheses, [], [], details, not_applicable=True)
 
-    ratio = field.div(d1sq, d2sq)
+    ratio = d1sq / d2sq
     m = _ratio_integer_m(ratio)
     details["m"] = m
     if m is not None:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 
@@ -382,8 +383,16 @@ def main(argv=None) -> int:
             outcome = "error"
             report.update(outcome=outcome, payload=_error_payload(exc))
             error_message = f"cannot write {out_path}: {exc}"
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    try:
+        json.dump(report, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull, so that the
+        # interpreter's flush at exit cannot raise again.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        outcome, error_message = "error", "stdout closed before the report was written"
     if error_message is not None:
         print(f"error: {error_message}", file=sys.stderr)
     return EXIT_CODES[outcome]

@@ -64,10 +64,8 @@ class GramTwoDistance:
             )
         if not g.is_symmetric():
             raise MalformedInputError("gram matrix must be symmetric")
-        field = g.field
-        one = field.one
         for i in range(self.count):
-            if not field.eq(g.entries[i][i], one):
+            if g.entries[i][i] != 1:
                 raise MalformedInputError(f"diagonal entry {i} differs from 1")
         if self.coords is not None and len(self.coords) != self.count:
             raise MalformedInputError("coordinate count does not match point count")
@@ -85,10 +83,10 @@ class GramTwoDistance:
         field = self.field
         a = field.coerce(self.value_a)
         b = field.coerce(self.value_b)
-        if field.eq(a, b) or field.eq(a, field.one) or field.eq(b, field.one):
+        if a == b or a == 1 or b == 1:
             raise InternalInconsistencyError("inner-product values must differ from 1 and each other")
         for x in self.off_diagonal_values():
-            if not (field.eq(x, a) or field.eq(x, b)):
+            if x not in (a, b):
                 raise InternalInconsistencyError(
                     f"off-diagonal value {field.format(x)} outside the declared pair"
                 )

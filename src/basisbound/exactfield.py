@@ -4,9 +4,12 @@ certifiers.
 
 No floating point ever enters a computation here: rationals are
 `fractions.Fraction`, prime-field elements are residues, and quadratic
-elements carry two Fraction parts.  Signs of quadratic elements are decided
-by exact comparison of squares.  `scalar_field` is the one place that
-decides whether a set of scalars lives in Q or in Q(sqrt(d)).
+elements carry two Fraction parts.  The field objects parse, coerce and
+format scalars; the elements do their own arithmetic with Python's
+operators, and code over F_p reduces its residues mod p itself.  Signs of
+quadratic elements are decided by exact comparison of squares.
+`scalar_field` is the one place that decides whether a set of scalars
+lives in Q or in Q(sqrt(d)).
 
 rank, determinant, solve_linear and invert share one Gauss-Jordan engine,
 `_eliminate`, with two paths.  Over Q and Q(sqrt(d)) it runs fraction-free
@@ -235,7 +238,6 @@ class QuadExt:
 class RationalField:
     """Field tag for Q; elements are `fractions.Fraction`."""
 
-    name = "rational"
     ordered = True
 
     zero = Fraction(0)
@@ -251,32 +253,6 @@ class RationalField:
         if isinstance(x, str):
             return parse_rational(x)
         raise MalformedInputError(f"cannot coerce {x!r} into Q")
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / a
-
-    def div(self, a, b):
-        return a / self.coerce(b) if isinstance(b, (int, str)) else a / b
-
-    def is_zero(self, a):
-        return a == 0
-
-    def eq(self, a, b):
-        return a == b
 
     def sign(self, a):
         return 0 if a == 0 else (1 if a > 0 else -1)
@@ -301,7 +277,7 @@ QQ = RationalField()
 
 
 class PrimeFieldCtx:
-    """Arithmetic context for F_p; elements are residues in [0, p)."""
+    """Field tag for F_p; elements are residues in [0, p), plain ints."""
 
     ordered = False
 
@@ -314,40 +290,10 @@ class PrimeFieldCtx:
         self.zero = 0
         self.one = 1 % p
 
-    @property
-    def name(self):
-        return f"mod {self.p}"
-
     def coerce(self, x):
         if isinstance(x, bool) or not isinstance(x, int):
             raise MalformedInputError(f"cannot coerce {x!r} into F_{self.p}")
         return x % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero residue")
-        return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return (a * self.inv(b)) % self.p
-
-    def is_zero(self, a):
-        return a % self.p == 0
-
-    def eq(self, a, b):
-        return (a - b) % self.p == 0
 
     def parse(self, s):
         s = s.strip()
@@ -386,10 +332,6 @@ class QuadExtField:
         self.zero = QuadExt(Fraction(0), Fraction(0), d)
         self.one = QuadExt(Fraction(1), Fraction(0), d)
 
-    @property
-    def name(self):
-        return f"sqrt {self.d}"
-
     def coerce(self, x):
         if isinstance(x, QuadExt):
             if x.d != self.d:
@@ -404,30 +346,6 @@ class QuadExtField:
         if isinstance(x, str):
             return self.parse(x)
         raise MalformedInputError(f"cannot coerce {x!r} into Q(sqrt({self.d}))")
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        return a.inverse()
-
-    def div(self, a, b):
-        return a / b
-
-    def is_zero(self, a):
-        return a.is_zero()
-
-    def eq(self, a, b):
-        return a == b
 
     def sign(self, a):
         return a.sign()
@@ -526,14 +444,8 @@ class ExactMatrix:
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix) or other.field != self.field:
             return NotImplemented
-        if (other.nrows, other.ncols) != (self.nrows, self.ncols):
-            return False
-        f = self.field
-        return all(
-            f.eq(self.entries[i][j], other.entries[i][j])
-            for i in range(self.nrows)
-            for j in range(self.ncols)
-        )
+        # Entries are canonical after `coerce`, so `==` on them decides.
+        return self.entries == other.entries
 
     def __repr__(self):
         return f"ExactMatrix({self.field!r}, {self.nrows}x{self.ncols})"
@@ -708,7 +620,9 @@ def solve_linear(m: ExactMatrix, rhs):
         rows, _ = _cleared(QQ, [r + [v] for r, v in zip(m.entries, rhs)])
         holds = all(sum(map(operator.mul, r, u)) == denom * r[-1] for r in rows)
     else:
-        holds = all(field.eq(sum(map(operator.mul, r, x)), v) for r, v in zip(m.entries, rhs))
+        # Over F_p, coerce reduces the sum mod p.
+        holds = all(field.coerce(sum(map(operator.mul, r, x))) == v
+                    for r, v in zip(m.entries, rhs))
     if not holds:
         raise InternalInconsistencyError("solver re-substitution failed")
     return x

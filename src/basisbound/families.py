@@ -200,12 +200,13 @@ def degrees(family: SetFamily) -> list[int]:
 
 
 def constant_vector_distance_sum(f, q: int, p) -> int:
-    """Sum over j in [0, q-1] of d_H(f, (j,...,j)) reduced mod p.
+    """Sum over j in [0, q-1] of d_H(f, (j,...,j)) reduced mod the prime of
+    the field context p (an `exactfield.PrimeFieldCtx`).
 
     Always evaluates to n(q-1) mod p: every coordinate differs from all but
     one of the q constant values.
     """
-    p_value = getattr(p, "p", p)
+    p_value = p.p
     if p_value < q:
         raise HypothesisViolationError(
             f"modulus {p_value} smaller than alphabet {q}", clause="pGeqQ"

@@ -1,5 +1,5 @@
 """Reference inertia for the differential tests: the pivoted exact LDL^T
-through the field operations that `inertia_psd_rank` used before it ran
+on field elements that `inertia_psd_rank` ran before it went
 fraction-free.  Slow and simple on purpose; only small matrices are given
 to it."""
 
@@ -19,7 +19,7 @@ def inertia_psd_rank(g: ExactMatrix):
     while True:
         pivot = None
         for k in remaining:
-            if not field.is_zero(a[k][k]):
+            if a[k][k] != 0:
                 pivot = k
                 break
         if pivot is None:
@@ -29,14 +29,12 @@ def inertia_psd_rank(g: ExactMatrix):
         remaining.remove(pivot)
         col = {i: a[i][pivot] for i in remaining}
         for i in remaining:
-            if field.is_zero(col[i]):
+            if col[i] == 0:
                 continue
-            factor = field.div(col[i], d)
+            factor = col[i] / d
             for j in remaining:
-                a[i][j] = field.sub(a[i][j], field.mul(factor, col[j]))
-    residue_nonzero = any(
-        not field.is_zero(a[i][j]) for i in remaining for j in remaining
-    )
+                a[i][j] -= factor * col[j]
+    residue_nonzero = any(a[i][j] != 0 for i in remaining for j in remaining)
     if residue_nonzero:
         block = [[a[i][j] for j in remaining] for i in remaining]
         return False, len(pivot_signs) + rank(ExactMatrix(field, block))

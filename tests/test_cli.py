@@ -4,10 +4,14 @@ trips and fault injection."""
 import argparse
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import operator
+import os
 import shlex
+import subprocess
+import sys
 import tempfile
 import time
 from itertools import product
@@ -17,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import basisbound
 from basisbound import errors
 from basisbound.cli import EXIT_CODES, build_parser, main
 from basisbound.constructions import fano_plane, hadamard_plus_full, pentagon
@@ -170,6 +175,63 @@ def test_certify_hamming_tight(tmp_path, capsys):
     )
     assert code == 0
     assert report["payload"]["coefficients"] == ["2", "2", "2", "2"]
+
+
+def _certify_hamming_tight(tmp_path, capsys, system, p, lam):
+    vectors = tmp_path / "vectors.json"
+    vectors.write_text(json.dumps(system))
+    return run_cli(
+        capsys, "certify", "hamming-tight", "--vectors", str(vectors), "--p", str(p),
+        "--lambda", str(lam),
+    )
+
+
+def _payload_sha256(report):
+    return hashlib.sha256(json.dumps(report["payload"], indent=2).encode()).hexdigest()
+
+
+def test_certify_hamming_tight_interpolation_guard(tmp_path, capsys):
+    """q symbols cost q Vandermonde solves of size q, about q^4 products:
+    q = 120 is refused with exit 3 before any of them.  Below the guard the
+    payloads are the ones pinned before it existed: the benchmark's
+    hamming-tight job and the 11 one-symbol vectors over F_11."""
+    one_symbol = {"n": 1, "q": 120, "vectors": [[i] for i in range(120)]}
+    started = time.monotonic()
+    code, report, _ = _certify_hamming_tight(tmp_path, capsys, one_symbol, 127, 1)
+    assert time.monotonic() - started < 0.1
+    assert code == 3 and report["payload"]["kind"] == "ResourceGuardError"
+    cases = (
+        (hadamard_plus_full(8).to_vector_system().to_json_dict(), 17, 16,
+         "17d793a9762ed17483f32d183efea77e84f76dabb41573966ce1014a238b23b0"),
+        ({"n": 1, "q": 11, "vectors": [[i] for i in range(11)]}, 11, 1,
+         "bc7b452d64e8101acab324d24f150a93085624593f1213df1cc4c5d6402d62a7"),
+    )
+    for system, p, lam, digest in cases:
+        code, report, _ = _certify_hamming_tight(tmp_path, capsys, system, p, lam)
+        assert code == 0 and _payload_sha256(report) == digest
+
+
+def test_closed_stdout_exits_3_without_traceback():
+    """A reader that closes the pipe early, as `| head -c 10` does, gets
+    exit 3 and one error line, not a BrokenPipeError traceback and exit 1.
+    The report (about 358 KB) outgrows the pipe's buffer, so the write
+    meets the closed pipe."""
+    src = Path(basisbound.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "basisbound", "construct", "pg", "--r", "31"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    try:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 3
+    err = err.decode()
+    assert "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_certify_two_distance_pentagon(tmp_path, capsys):

@@ -129,7 +129,7 @@ def test_rational_field_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     if a != 0:
-        assert QQ.mul(a, QQ.inv(a)) == 1
+        assert a * (1 / a) == 1
 
 
 @settings(max_examples=200)
@@ -140,6 +140,18 @@ def test_quadratic_field_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     if not a.is_zero():
         assert a * a.inverse() == F5.one
+
+
+@given(st.integers(-100, 100) | rationals, quads.filter(bool))
+def test_mixed_operands_act_as_coerced(x, y):
+    """An int or Fraction on the left of a QuadExt (QuadExt's reflected
+    operators), or compared with one, acts as its image in Q(sqrt 5)."""
+    image = F5.coerce(x)
+    assert x + y == image + y
+    assert x - y == image - y
+    assert x * y == image * y
+    assert x / y == image / y
+    assert (y == x) == (y == image)
 
 
 # -- rank -------------------------------------------------------------------
@@ -260,7 +272,8 @@ def test_solve_resubstitutes_exactly():
 )
 def test_resubstitution_catches_a_perturbed_solution(monkeypatch, field, shift):
     """With one entry of the solver's answer moved, solve_linear raises
-    instead of returning it; over Q the check runs on integers."""
+    instead of returning it; over Q the check runs on integers, over GF(7)
+    and Q(sqrt 5) on the coerced row sums."""
     rows = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
     rhs = [1, 2, 3]
     if field == QQ:  # a different denominator in each row
@@ -272,7 +285,7 @@ def test_resubstitution_catches_a_perturbed_solution(monkeypatch, field, shift):
 
     def perturbed(matrix, rhs_rows):
         rows = real(matrix, rhs_rows)
-        rows[1][0] = field.add(rows[1][0], field.coerce(shift))
+        rows[1][0] = rows[1][0] + shift
         return rows
 
     monkeypatch.setattr(exactfield, "_solve", perturbed)

@@ -45,19 +45,10 @@ def _random_matrix(rng, field, nrows, ncols, deficiency=0):
     rows = [[_random_scalar(rng, field) for _ in range(ncols)] for _ in range(free)]
     for _ in range(deficiency):
         combo = [field.coerce(_random_scalar(rng, field)) for _ in range(free)]
-        rows.append([
-            _sum(field, [field.mul(c, r[j]) for c, r in zip(combo, rows)])
-            for j in range(ncols)
-        ])
+        rows.append([sum((c * r[j] for c, r in zip(combo, rows)), field.zero)
+                     for j in range(ncols)])
     rng.shuffle(rows)
     return ExactMatrix(field, rows)
-
-
-def _sum(field, values):
-    acc = field.zero
-    for v in values:
-        acc = field.add(acc, v)
-    return acc
 
 
 @functools.cache

@@ -5,6 +5,7 @@ columns at any index, indefinite matrices, and zero diagonals under nonzero
 off-diagonal entries."""
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ def _scalar(rng, field):
 def _psd(rng, field, n, r):
     """B B^T for a random n x r matrix B: PSD of rank at most r."""
     b = [[_scalar(rng, field) for _ in range(r)] for _ in range(n)]
-    return [[sum(map(field.mul, u, v), field.zero) for v in b] for u in b]
+    return [[sum(map(operator.mul, u, v), field.zero) for v in b] for u in b]
 
 
 def _symmetric(rng, field, n):

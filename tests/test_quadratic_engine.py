@@ -1,6 +1,6 @@
 """Differential test of the Z[sqrt d] elimination path: det, rank, solve
 and invert over Q(sqrt d) for d = 2, 3, 5, 13 (d mod 4 = 2, 3, 1, 1)
-against a Gauss-Jordan through the field operations (pivot scaled to one,
+against a Gauss-Jordan on the field elements (pivot scaled to one,
 the path these routines took before they ran fraction-free).  Entries
 carry denominators in both parts; the cases include singular and
 rank-deficient matrices, a zero first column, a zero leading entry that
@@ -30,24 +30,24 @@ SHAPES = ("regular", "deficient", "zero-column", "row-swap")
 
 
 def reference_gauss_jordan(m: ExactMatrix, rhs_rows=None):
-    """(rank, det, solution rows or None) through the field operations."""
+    """(rank, det, solution rows or None) by the elements' own arithmetic."""
     f, width = m.field, m.ncols
     rows = [r + (rhs_rows[i] if rhs_rows else []) for i, r in enumerate(m.entries)]
     rk, det = 0, f.one
     for col in range(width):
-        found = next((i for i in range(rk, len(rows)) if not f.is_zero(rows[i][col])), None)
+        found = next((i for i in range(rk, len(rows)) if rows[i][col] != 0), None)
         if found is None:
             continue
         if found != rk:
             rows[rk], rows[found] = rows[found], rows[rk]
-            det = f.neg(det)
-        inverse = f.inv(rows[rk][col])
-        det = f.mul(det, rows[rk][col])
-        rows[rk] = [f.mul(x, inverse) for x in rows[rk]]
+            det = -det
+        inverse = 1 / rows[rk][col]
+        det *= rows[rk][col]
+        rows[rk] = [x * inverse for x in rows[rk]]
         for i in range(len(rows)):
-            if i != rk and not f.is_zero(rows[i][col]):
+            if i != rk and rows[i][col] != 0:
                 head = rows[i][col]
-                rows[i] = [f.sub(x, f.mul(head, y)) for x, y in zip(rows[i], rows[rk])]
+                rows[i] = [x - head * y for x, y in zip(rows[i], rows[rk])]
         rk += 1
     if rk < m.nrows or m.nrows != width:
         return rk, f.zero, None

@@ -2,7 +2,8 @@
 and the acceptance suite, all emitting machine-readable JSON reports.
 
 Report JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 pass,
-1 fail, 2 not-applicable or hypothesis violation, 3 usage or I/O error.
+1 fail, 2 not-applicable or hypothesis violation, 3 usage, I/O or any
+other error.
 Every exact scalar is serialized as a string in the shared scalar syntax,
 never as a float, so identical inputs produce byte-identical reports
 (modulo the wall_time_s field).
@@ -53,11 +54,7 @@ from .constructions import (
     projective_plane,
     schlafli27,
 )
-from .errors import (
-    BasisBoundError,
-    HypothesisViolationError,
-    MalformedInputError,
-)
+from .errors import HypothesisViolationError, MalformedInputError
 from .exactfield import QQ, ExactMatrix, PrimeFieldCtx, QuadExtField, scalar_field
 from .families import SetFamily, VectorSystem
 from .search import (
@@ -189,9 +186,17 @@ class HelpRequested(Exception):
     """--help at any level: the help text, for the report, not argparse's exit."""
 
 
+# Help text width: argparse's own when COLUMNS is unset and stdout is not a
+# terminal, fixed so that the help report is the same in every terminal.
+HELP_WIDTH = 78
+
+
 class Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+    def _get_formatter(self):
+        return self.formatter_class(prog=self.prog, width=HELP_WIDTH)
 
     def print_help(self, file=None):
         raise HelpRequested(self.format_help())
@@ -283,8 +288,8 @@ def _load_matrix(doc) -> ExactMatrix:
 
 
 def _run_leaf(args):
-    """A table row's run: read its file arguments, call its runner and
-    digest the values (a file's bytes); an omitted optional flag (one side
+    """A table row's run: read its file arguments and digest the values (a
+    file's bytes), then call its runner; an omitted optional flag (one side
     of lambda-design's --design/--pg) is not digested."""
     kind = getattr(args, f"{args.command}_kind")
     _, table, report = GROUPS[args.command]
@@ -298,8 +303,7 @@ def _run_leaf(args):
         elif value is not None:
             inputs.append(value)
         values.append(value)
-    outcome, payload, document = report(kind, runner(*values))
-    return outcome, payload, inputs, document
+    return inputs, lambda: report(kind, runner(*values))
 
 
 def _run_search(args):
@@ -310,35 +314,37 @@ def _run_search(args):
             allowed = tuple(int(x) for x in args.dist_list.split(",") if x.strip())
         except ValueError as exc:
             raise UsageError(f"bad --dist-list: {exc}") from exc
-    problem = SearchProblem(
-        n=args.n,
-        q=args.q,
-        predicate=predicate,
-        lam=args.lam,
-        p=args.p,
-        allowed=allowed,
-        target_size=args.target,
-    )
-    result = search_max(problem)
-    payload = result.to_json_dict()
+    # The problem's fields, in order.
     inputs = [args.n, args.q, predicate, args.lam, args.p, allowed, args.target]
-    return "pass", payload, inputs, payload
+
+    def run():
+        payload = search_max(SearchProblem(*inputs)).to_json_dict()
+        return "pass", payload, payload
+
+    return inputs, run
 
 
 def _run_verify(args):
-    rows = acceptance.run_suite(
-        filter_substring=args.filter,
-        log=lambda line: print(line, file=sys.stderr),
-    )
-    ok = all(r["passed"] for r in rows) and rows
-    payload = {"criteria": rows, "all_passed": bool(ok)}
-    return ("pass" if ok else "fail"), payload, [args.filter or ""], payload
+    def run():
+        rows = acceptance.run_suite(
+            filter_substring=args.filter,
+            log=lambda line: print(line, file=sys.stderr),
+        )
+        ok = all(r["passed"] for r in rows) and rows
+        payload = {"criteria": rows, "all_passed": bool(ok)}
+        return ("pass" if ok else "fail"), payload, payload
+
+    return [args.filter or ""], run
 
 
+# A command's runner reads its inputs and returns them, as the report
+# digests them, with a call that runs the command and returns (outcome,
+# payload, --out document).  So a run that raises digests the same inputs as
+# one that returns.
 RUNNERS = {"search": _run_search, "verify": _run_verify}
 
 
-def dispatch(args) -> tuple[str, dict, list, dict]:
+def dispatch(args):
     return RUNNERS.get(args.command, _run_leaf)(args)
 
 
@@ -354,14 +360,17 @@ def main(argv=None) -> int:
     inputs = argv
     try:
         args = parser.parse_args(argv)
-        outcome, payload, inputs, document = dispatch(args)
+        inputs, run = dispatch(args)
+        outcome, payload, document = run()
     except HelpRequested as exc:
         outcome, payload = "pass", {"help": str(exc)}
     except HypothesisViolationError as exc:
         outcome = "hypothesis-violation"
         payload = {"error": str(exc), "clause": exc.clause}
         error_message = str(exc)
-    except (UsageError, BasisBoundError, ValueError, OSError) as exc:
+    except Exception as exc:
+        # Usage, input and I/O errors, and any fault of the program: a
+        # report naming the exception's type, never a traceback.
         outcome = "error"
         payload = _error_payload(exc)
         error_message = str(exc)

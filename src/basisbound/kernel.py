@@ -6,14 +6,31 @@ row i of the adjacency is the mask of the vertices compatible with vertex i.
 Rows are bit-sliced: the pair values (distance or intersection size) of
 vertex i against every vertex are summed coordinate by coordinate in
 vertical bit counters, one mask per binary digit, so a row costs about
-n log n big-integer operations instead of one Python step per pair.
+n log n big-integer operations instead of one Python step per pair.  On
+graphs of up to BLOCK_MAX_COUNT vertices the rows are computed in blocks:
+the masks of a block of rows are laid end to end in one integer, and the
+same counters run on it, so each step serves every row of the block.
 Both searches keep an explicit stack, so a clique as deep as the whole space
 costs no interpreter recursion, and both bound each node by a greedy
 colouring of its candidate set: a clique meets every colour class at most
-once (Tomita & Seki, MCQ, 2003; San Segundo et al., BBMC, 2011).
+once (Tomita & Seki, MCQ, 2003; San Segundo et al., BBMC, 2011).  The
+colouring reads the complement table `nonadj`, which a caller that searches
+one graph many times builds once with `complement` and passes in.
 """
 
 from __future__ import annotations
+
+# Blocks of rows in `adjacency`: a block holds about BLOCK_BITS bits of rows.
+# Past BLOCK_MAX_COUNT vertices a row is long enough that the bytes-to-integer
+# conversions of a block cost more than the interpreter steps they save, and
+# every block is one row.
+BLOCK_BITS = 1 << 17
+BLOCK_MAX_COUNT = 2500
+
+# Translation tables from a column of symbols to the binary digits of a mask:
+# _DIFFERS[s] maps each byte other than s to "1", _NONZERO each nonzero byte.
+_DIFFERS = [b"1" * s + b"0" + b"1" * (255 - s) for s in range(256)]
+_NONZERO = _DIFFERS[0]
 
 
 def adjacency(vectors, n, values, intersect):
@@ -22,31 +39,48 @@ def adjacency(vectors, n, values, intersect):
     of length-n byte strings; the pair value is their Hamming distance, or
     the size of their supports' intersection when `intersect` is true.
 
-    Row i is computed for all j at once.  For each coordinate c, the mask of
-    the vertices that add one to the pair value with vertex i (their symbol
-    differs from vectors[i][c], or for intersections both symbols are
-    nonzero) is added into vertical bit counters: planes[k] holds bit k of
-    every vertex's running count.  The row is then the union of the
-    equality masks of the allowed values.
+    For each coordinate c and symbol s, the mask of the vertices that add one
+    to the pair value with a vertex whose symbol at c is s (their symbol
+    differs from s, or for intersections both symbols are nonzero) is read
+    off the column of symbols at C speed.  Rows are then computed a block at
+    a time: the masks of the block's rows at coordinate c, laid end to end
+    with a byte-aligned stride, form one integer, which is added into
+    vertical bit counters (planes[k] holds bit k of every pair's running
+    count).  The block is the union of the equality masks of the allowed
+    values, split back into rows.  A one-row block uses the masks directly.
     """
     count = len(vectors)
+    if not count:
+        return []
     full = (1 << count) - 1
-    q = max((max(v, default=0) for v in vectors), default=0) + 1
-    symbols = [[0] * q for _ in range(n)]
-    for j, v in enumerate(vectors):
-        bit = 1 << j
-        for c, s in enumerate(v):
-            symbols[c][s] |= bit
-    if intersect:
-        # Both entries nonzero: nothing is added where vertex i has a zero.
-        adds = [[0] + [full ^ col[0]] * (q - 1) for col in symbols]
-    else:
-        adds = [[full ^ mask for mask in col] for col in symbols]
+    joined = b"".join(vectors)
+    q = max(joined, default=0) + 1
+    columns = [joined[c::n] for c in range(n)]
+    adds = []
+    for column in columns:
+        digits = column[::-1]  # vertex 0 is the lowest bit
+        if intersect:
+            # Both entries nonzero: nothing is added where vertex i has a zero.
+            adds.append([0] + [int(digits.translate(_NONZERO), 2)] * (q - 1))
+        else:
+            adds.append([int(digits.translate(_DIFFERS[s]), 2) for s in range(q)])
+    height = max(1, BLOCK_BITS // count) if count <= BLOCK_MAX_COUNT else 1
+    width = (count + 7) // 8  # bytes per row of a block
+    if height > 1:
+        pieces = [[mask.to_bytes(width, "little") for mask in col] for col in adds]
+        lane = full.to_bytes(width, "little")
     rows = []
-    for i, v in enumerate(vectors):
+    for start in range(0, count, height):
+        stop = min(start + height, count)
+        if stop - start == 1:
+            masks = map(list.__getitem__, adds, vectors[start])
+            lanes = full
+        else:
+            masks = (int.from_bytes(b"".join(map(piece.__getitem__, column[start:stop])), "little")
+                     for piece, column in zip(pieces, columns))
+            lanes = int.from_bytes(lane * (stop - start), "little")
         planes = []
-        for c, s in enumerate(v):
-            carry = adds[c][s]
+        for carry in masks:
             for k, plane in enumerate(planes):
                 if not carry:
                     break
@@ -55,15 +89,26 @@ def adjacency(vectors, n, values, intersect):
             else:
                 if carry:
                     planes.append(carry)
-        row = 0
+        block = 0
         for d in values:
             if d >> len(planes) == 0:
-                eq = full
+                eq = lanes
                 for k, plane in enumerate(planes):
                     eq &= plane if (d >> k) & 1 else ~plane
-                row |= eq
-        rows.append(row & ~(1 << i))
+                block |= eq
+        if stop - start == 1:
+            rows.append(block & ~(1 << start))
+        else:
+            data = block.to_bytes((stop - start) * width, "little")
+            rows += [int.from_bytes(data[k:k + width], "little") & ~(1 << i)
+                     for i, k in zip(range(start, stop), range(0, len(data), width))]
     return rows
+
+
+def complement(adj):
+    """The colouring's complement table: entry v is the complement of v's
+    closed neighbourhood (a negative integer)."""
+    return [~row ^ (1 << v) for v, row in enumerate(adj)]
 
 
 def _colour_classes(nonadj, cand):
@@ -84,7 +129,7 @@ def _colour_classes(nonadj, cand):
     return classes
 
 
-def extend_max(adj, count, prefix, target, cand=None, floor=0):
+def extend_max(adj, count, prefix, target, cand=None, floor=0, nonadj=None):
     """Largest clique containing the clique `prefix`, with its other
     members drawn from the mask `cand` (default: every vertex).
 
@@ -95,6 +140,7 @@ def extend_max(adj, count, prefix, target, cand=None, floor=0):
     the search as soon as a clique of at least that size is found.  The
     witness is not canonical: branching follows the colour classes, highest
     first, and a candidate set that is already a clique is taken whole.
+    `nonadj` is `complement(adj)`, built here when not given.
     """
     if count == 0:
         return floor, None, 0
@@ -102,7 +148,8 @@ def extend_max(adj, count, prefix, target, cand=None, floor=0):
         cand = (1 << count) - 1
     for v in prefix:
         cand &= adj[v]
-    nonadj = [~row ^ (1 << v) for v, row in enumerate(adj)]
+    if nonadj is None:
+        nonadj = complement(adj)
     base = len(prefix)
     clique = list(prefix)
     best, witness, nodes = floor, None, 0
@@ -147,21 +194,24 @@ def extend_max(adj, count, prefix, target, cand=None, floor=0):
     return best, witness, nodes
 
 
-def first_clique_of_size(adj, count, size):
-    """Lexicographically least clique of exactly `size` vertices, or None.
+def first_clique_of_size(adj, count, size, cand=None, nonadj=None):
+    """Lexicographically least clique of exactly `size` vertices, all in the
+    mask `cand` (default: every vertex), or None.
 
     Depth-first in increasing index order, pruning a node only when its
     colour bound shows it cannot reach `size`, so the first clique found is
-    the least one.
+    the least one.  `nonadj` is `complement(adj)`, built here when not given.
     """
     if size <= 0:
         return ()
     if count == 0:
         return None
-    nonadj = [~row ^ (1 << v) for v, row in enumerate(adj)]
+    if nonadj is None:
+        nonadj = complement(adj)
+    if cand is None:
+        cand = (1 << count) - 1
     clique = []
     stack = []  # per open node: its candidates not yet branched on
-    cand = (1 << count) - 1
     while True:
         need = size - len(clique)
         if cand.bit_count() >= need:

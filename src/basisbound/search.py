@@ -32,6 +32,16 @@ early.  It is the least clique of the whole space too: for the distance
 predicates the zero vector comes first and some clique of that size
 contains it, and for the intersection predicate the sets of weight below
 lambda meet no other set in lambda points.
+
+The pass searches only the vertices that can hold that clique.  Let w* be
+the first root weight whose round reached the final size k.  Every earlier
+round w ran with an incumbent below k and found no clique of size k, so by
+the symmetry above no such clique (through 0, for the distance predicates)
+has least nonzero weight w.  Each one lies in the vertices of weight
+>= w*, with the zero vector for the distance predicates.  The pass searches
+the whole graph when `target_size` stopped the search, or when no round
+raised the size.  The rounds and the pass share the graph's complement
+table, built once.
 """
 
 from __future__ import annotations
@@ -165,6 +175,7 @@ def search_max(problem: SearchProblem) -> SearchResult:
         )
     vectors = enumerate_space(n, q, weights)
     adj = kernel.adjacency(vectors, n, values, not rooted)
+    nonadj = kernel.complement(adj)
     target = problem.target_size or 0
     # One canonical root per weight, ascending (see the module docstring).
     at_least = [0] * (n + 2)  # at_least[w]: the vertices of weight >= w
@@ -173,18 +184,25 @@ def search_max(problem: SearchProblem) -> SearchResult:
     for w in range(n, -1, -1):
         at_least[w] |= at_least[w + 1]
     size, nodes = 1, 0
+    # The vertices that can hold a maximum clique (see the module
+    # docstring): all of them until a round raises the size, then those of
+    # weight at least the raising round's, with the zero vector for the
+    # distance predicates.
+    holders = None
     for w in sorted(weights - {0}):
         if target and size >= target:
             break
         r = vectors.index(bytes(n - w) + b"\x01" * w)
         prefix = (0, r) if rooted else (r,)
-        size, _, more = kernel.extend_max(adj, count, prefix, target, at_least[w], size)
+        best, _, more = kernel.extend_max(adj, count, prefix, target, at_least[w], size, nonadj)
+        if best > size:
+            size, holders = best, at_least[w] | (1 if rooted else 0)
         nodes += more
     early = bool(target) and size >= target
     if early:
         # Report the target size itself, witnessed by the least clique of
         # that size.
-        size = target
-    witness = kernel.first_clique_of_size(adj, count, size)
+        size, holders = target, None
+    witness = kernel.first_clique_of_size(adj, count, size, holders, nonadj)
     system = VectorSystem.from_lists(n, q, [tuple(vectors[i]) for i in sorted(witness)])
     return SearchResult(size, system, nodes, not early)

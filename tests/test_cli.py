@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import basisbound
-from basisbound import errors
+from basisbound import cli, errors
 from basisbound.cli import EXIT_CODES, build_parser, main
 from basisbound.constructions import fano_plane, hadamard_plus_full, pentagon
 
@@ -485,6 +485,60 @@ def test_help_is_a_json_report(capsys, argv):
     assert code == 0 and report["outcome"] == "pass" and report["command"] == argv
     assert report["payload"]["help"].startswith("usage: basisbound")
     assert err == ""
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["search", "--help"], ["certify", "ryser", "--help"]]
+)
+def test_help_does_not_depend_on_the_terminal(capsys, monkeypatch, argv):
+    """Help is formatted at a fixed width, so COLUMNS changes no byte of
+    the report."""
+    helps = []
+    for columns in ("40", "200", None):
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        code, report, _ = run_cli(capsys, *argv)
+        assert code == 0
+        helps.append(report["payload"]["help"])
+    assert helps[0] == helps[1] == helps[2]
+
+
+def test_inputs_digest_is_the_file_bytes_whatever_the_outcome(tmp_path, capsys):
+    """Once the files are read, the report digests their bytes, not the
+    argv with its paths: the same files in two directories give the same
+    digest on a hypothesis violation and on an error, as on a pass."""
+    runs = []
+    for name in ("one", "two"):
+        folder = tmp_path / name
+        folder.mkdir()
+        fano = folder / "fano.json"
+        run_cli(capsys, "construct", "fano", "--out", str(fano))
+        bad = folder / "bad.json"
+        bad.write_text(json.dumps({"n": 3, "sets": "abc"}))
+        runs.append([run_cli(capsys, *argv)[1] for argv in (
+            ["certify", "mod-design", "--family", str(fano), "--p", "3"],
+            ["certify", "mod-design", "--family", str(bad), "--p", "3"],
+            ["certify", "ryser", "--family", str(fano), "--lambda", "1"],
+        )])
+    assert [r["outcome"] for r in runs[0]] == ["hypothesis-violation", "error", "pass"]
+    assert [r["inputs_digest"] for r in runs[0]] == [r["inputs_digest"] for r in runs[1]]
+
+
+def test_unexpected_exception_is_a_json_report_with_exit_3(tmp_path, capsys, monkeypatch):
+    """An exception no handler names, here from an injected certifier
+    fault, exits 3 with a report naming its type, not a traceback."""
+    def fault(*args):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(cli, "ryser_decompose", fault)
+    fano = tmp_path / "fano.json"
+    run_cli(capsys, "construct", "fano", "--out", str(fano))
+    code, report, err = run_cli(capsys, "certify", "ryser", "--family", str(fano), "--lambda", "1")
+    assert code == 3 and report["outcome"] == "error"
+    assert report["payload"] == {"error": "injected fault", "kind": "RuntimeError"}
+    assert err == "error: injected fault\n"
 
 
 def test_verify_filter(capsys):

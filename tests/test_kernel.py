@@ -5,6 +5,7 @@ small spaces, with and without a target size, also against the full-space
 reference in tests/full_space.py."""
 
 import random
+import time
 from dataclasses import replace
 from itertools import combinations, product
 
@@ -139,6 +140,37 @@ def test_first_clique_matches_reference():
                 naive_kernel.first_clique_of_size(adj, count, size)
 
 
+def test_first_clique_in_candidates_matches_reference():
+    """With a candidate mask, the least clique of the subgraph the mask
+    induces, which the reference finds on that subgraph relabelled."""
+    for rng, count, adj in random_graphs(31, 80):
+        cand = rng.getrandbits(count)
+        keep = [v for v in range(count) if (cand >> v) & 1]
+        sub = [sum(1 << b for b, v in enumerate(keep) if (adj[u] >> v) & 1) for u in keep]
+        best = naive_kernel.extend_max(sub, len(keep), (), 0, 0)[0]
+        for size in range(0, best + 2):
+            want = naive_kernel.first_clique_of_size(sub, len(keep), size)
+            got = kernel.first_clique_of_size(adj, count, size, cand)
+            assert got == (None if want is None else tuple(keep[b] for b in want))
+
+
+def test_given_complement_changes_no_result():
+    """Passing `complement(adj)`, as a caller that searches one graph many
+    times does, gives the same results as letting each call build it."""
+    for rng, count, adj in random_graphs(1618, 80):
+        nonadj = kernel.complement(adj)
+        cand = rng.getrandbits(count)
+        prefix = (rng.randrange(count),) if count else ()
+        floor = rng.randint(0, 3)
+        for target in (0, rng.randint(1, 6)):
+            args = (adj, count, prefix, target, cand, floor)
+            assert kernel.extend_max(*args, nonadj) == kernel.extend_max(*args)
+        for size in range(0, 6):
+            for mask in (None, cand):
+                assert kernel.first_clique_of_size(adj, count, size, mask, nonadj) == \
+                    kernel.first_clique_of_size(adj, count, size, mask)
+
+
 def test_complete_graphs_beyond_word_sizes():
     """Counts straddling the 32- and 64-bit boundaries, up to a clique deeper
     than the interpreter's recursion limit."""
@@ -160,9 +192,11 @@ def test_nearly_complete_graph_has_no_recursion_limit():
 
 
 @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 2), (4, 3), (2, 6)])
-def test_adjacency_matches_reference(q, n):
+def test_adjacency_matches_reference(q, n, monkeypatch):
     """Whole space, shuffled, and a seeded random subset in enumeration
-    order, as the search's vertex filter passes it."""
+    order, as the search's vertex filter passes it; each at the default
+    block height and with blocks forced to 1, 2, 5 and 7 rows, so that
+    one-row blocks and ragged last blocks are computed too."""
     rng = random.Random(q * 100 + n)
     vectors = [bytes(v) for v in product(range(q), repeat=n)]
     cases = [([m], intersect) for m in range(n + 2) for intersect in (False, True)]
@@ -172,10 +206,13 @@ def test_adjacency_matches_reference(q, n):
     shuffled = list(vectors)
     rng.shuffle(shuffled)
     subset = [v for v in vectors if rng.random() < 0.4]
+    default = kernel.BLOCK_BITS
     for order in (vectors, shuffled, subset):
         for values, intersect in cases:
-            assert kernel.adjacency(order, n, values, intersect) == \
-                naive_kernel.adjacency(order, n, values, intersect)
+            want = naive_kernel.adjacency(order, n, values, intersect)
+            for bits in (default, len(order), 2 * len(order), 5 * len(order), 7 * len(order)):
+                monkeypatch.setattr(kernel, "BLOCK_BITS", bits)
+                assert kernel.adjacency(order, n, values, intersect) == want, bits
 
 
 def problems(n, q):
@@ -227,6 +264,27 @@ def test_local_graph_matches_full_space(q, n):
             got = search_max(bounded)
             assert (got.max_size, got.witness.vectors, got.exhaustive) == \
                 full_space.search(bounded), bounded
+
+
+def test_biplane_found_in_seconds():
+    """Intersection n=11, lambda=2: the maximum is 11, the biplane.  The
+    witness pass searches only the vertices that can hold a maximum (those
+    of weight >= 5, the least weight a maximum reaches), so the whole
+    search takes seconds; over the full graph the pass took about a minute.
+    The witness is the symmetric 2-(11,5,2) design: eleven 5-sets, every
+    pair of points in exactly two of them, and it is the one the pass over
+    the full graph returns."""
+    started = time.monotonic()
+    result = search_max(SearchProblem(11, 2, PRED_INTERSECT_CONST, lam=2))
+    assert time.monotonic() - started < 20
+    assert (result.max_size, result.exhaustive) == (11, True)
+    blocks = [{i for i, x in enumerate(v) if x} for v in result.witness.vectors]
+    assert len(blocks) == 11 and all(len(b) == 5 for b in blocks)
+    assert all(sum(1 for b in blocks if {i, j} <= b) == 2 for i, j in combinations(range(11), 2))
+    assert ["".join(map(str, v)) for v in result.witness.vectors] == [
+        "00000011111", "00011100011", "00101101100", "01010110100", "01101010001", "01110001010",
+        "10011011000", "10100110010", "10110000101", "11000101001", "11001000110",
+    ]
 
 
 def test_order_hook_roots_at_the_zero_vector():

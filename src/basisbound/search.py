@@ -10,10 +10,16 @@ vector are searched: W is {0} and the allowed distances, the zero vector
 and its neighbours N(0).  For the intersection predicate W is {0} and
 [lambda, n]: every member of a clique of two or more sets has weight at
 least lambda, and the zero vector is the one-set family when none has.  On
-that graph one canonical root r_w = 0^(n-w) 1^w per weight w is searched,
-in ascending w, with the other members drawn from the vertices of weight
->= w and the best size so far as the incumbent (isomorph rejection by
-canonical roots; McKay, J. Algorithms 1998).  This is exact:
+that graph one round per weight w is searched, in ascending w, with the
+best size so far as the incumbent.  Round w fixes the canonical first roots
+(0, r_w) for the distance predicates and r_w for the intersection
+predicate, r_w = 0^(n-w) 1^w, and splits into one sub-round per orbit of a
+second root s under the first roots' stabiliser, in ascending (weight of s,
+index of s).  A sub-round draws the other members from the vertices of
+weight >= weight(s); a round with no second root adjacent to its first
+roots yields the first roots themselves (isomorph rejection by canonical
+roots; McKay, J. Algorithms 1998; Kaski & Ostergard, Classification
+Algorithms for Codes and Designs, 2006).  This is exact:
 
 - Distances.  The stabiliser of 0 in S_q wr S_n permutes the coordinates
   and the nonzero symbols of each coordinate, preserving distances and
@@ -23,6 +29,17 @@ canonical roots; McKay, J. Algorithms 1998).  This is exact:
 - Intersections.  S_n preserves intersection sizes.  A clique of two or
   more sets has all weights >= lambda, and its least-weight member maps to
   r_w.  The roots r_w run over w = lambda..n; the incumbent starts at 1.
+- Second roots.  The stabiliser of the first roots permutes the
+  coordinates inside supp(r_w) and inside its complement; for the distance
+  predicates it also permutes, at each coordinate, the nonzero symbols
+  other than 1 on the support and all nonzero symbols off it.  So a vector's
+  orbit is fixed by three counts: its 1s on supp(r_w), its other nonzero
+  symbols there, and its nonzero symbols off it (`second_roots` builds one
+  vector per orbit).  Take a clique mapped as above with a member other
+  than its first roots, and let s be such a member of least weight.  The
+  stabiliser maps s to the vector of its orbit and keeps every weight and
+  the first roots, so it maps the clique into the first roots, that vector
+  and the vertices of weight >= weight(s), which is a sub-round of round w.
 
 The kernel bounds each node by a greedy colouring of its candidate set.  A
 second, lexicographic pass on the same graph fixes the reported witness
@@ -40,12 +57,16 @@ the symmetry above no such clique (through 0, for the distance predicates)
 has least nonzero weight w.  Each one lies in the vertices of weight
 >= w*, with the zero vector for the distance predicates.  The pass searches
 the whole graph when `target_size` stopped the search, or when no round
-raised the size.  The rounds and the pass share the graph's complement
-table, built once.
+raised the size.  The argument holds with second roots unchanged: the
+sub-rounds of round w together cover every clique whose least nonzero
+weight is w.  The rounds and the pass share the graph's complement table,
+built once.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import comb
 
@@ -157,6 +178,20 @@ def enumerate_space(n: int, q: int, weights) -> list[bytes]:
     return vectors
 
 
+def second_roots(n: int, q: int, w: int, weights) -> Iterator[tuple[int, bytes]]:
+    """One vector of [0,q-1]^n per orbit of the stabiliser of 0 and
+    r_w = 0^(n-w) 1^w in S_q wr S_n, among the orbits whose weight is in
+    `weights`, as (weight, vector) pairs ascending by weight, then in byte
+    order.  An orbit is fixed by the 1s on supp(r_w), the other nonzero
+    symbols on it and the nonzero symbols off it; its vector has, off the
+    support, zeros then 1s, and on it zeros, then 2s, then 1s."""
+    for k in sorted(weights):
+        for off in range(max(0, k - w), min(n - w, k) + 1):
+            head = bytes(n - w - off) + b"\x01" * off + bytes(w - k + off)
+            for other in range(k - off + 1 if q > 2 else 1):
+                yield k, head + b"\x02" * other + b"\x01" * (k - off - other)
+
+
 def search_max(problem: SearchProblem) -> SearchResult:
     """Exact maximum family satisfying the pairwise predicate.  A graph past
     MAX_GRAPH_VERTICES, counted as the sum of C(n,w) (q-1)^w over W, or past
@@ -177,7 +212,8 @@ def search_max(problem: SearchProblem) -> SearchResult:
     adj = kernel.adjacency(vectors, n, values, not rooted)
     nonadj = kernel.complement(adj)
     target = problem.target_size or 0
-    # One canonical root per weight, ascending (see the module docstring).
+    # Canonical first and second roots per weight, ascending (see the module
+    # docstring).
     at_least = [0] * (n + 2)  # at_least[w]: the vertices of weight >= w
     for i, v in enumerate(vectors):
         at_least[n - v.count(0)] |= 1 << i
@@ -192,12 +228,27 @@ def search_max(problem: SearchProblem) -> SearchResult:
     for w in sorted(weights - {0}):
         if target and size >= target:
             break
-        r = vectors.index(bytes(n - w) + b"\x01" * w)
-        prefix = (0, r) if rooted else (r,)
-        best, _, more = kernel.extend_max(adj, count, prefix, target, at_least[w], size, nonadj)
+        r = bisect_left(vectors, bytes(n - w) + b"\x01" * w)
+        first = (0, r) if rooted else (r,)
+        cand = at_least[w]
+        for v in first:
+            cand &= adj[v]
+        # One second root per orbit of the first roots' stabiliser, in
+        # ascending (weight, index); with none, `first` is the round's clique.
+        seconds = []
+        for k, s in second_roots(n, q, w, [k for k in weights if k >= w]):
+            i = bisect_left(vectors, s)
+            if cand >> i & 1:
+                seconds.append((i, k))
+        best = size if seconds else max(size, len(first))
+        for i, k in seconds:
+            if target and best >= target:
+                break
+            best, _, more = kernel.extend_max(
+                adj, count, first + (i,), target, at_least[k], best, nonadj)
+            nodes += more
         if best > size:
             size, holders = best, at_least[w] | (1 if rooted else 0)
-        nodes += more
     early = bool(target) and size >= target
     if early:
         # Report the target size itself, witnessed by the least clique of

@@ -249,14 +249,18 @@ def test_search_matches_reference_search(q, n):
 
 
 @pytest.mark.parametrize(
-    "q,n", [(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 6)]
+    "q,n",
+    [(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 6)]
+    + [(4, n) for n in range(1, 5)] + [(5, n) for n in range(1, 4)],
 )
 def test_local_graph_matches_full_space(q, n):
     """The search builds only the vertices of its weight set and searches
-    one canonical root per weight; the reference in tests/full_space.py
-    searches the whole space, rooted only by translation.  Both give the
-    same maximum, witness and exhaustiveness; only the node count differs.
-    The two largest spaces are checked without a target."""
+    canonical first and second roots per weight; the reference in
+    tests/full_space.py searches the whole space, rooted only by
+    translation.  Both give the same maximum, witness and exhaustiveness;
+    only the node count differs.  From q = 4 an orbit of the second root
+    merges different symbols other than 1 on supp(r_w).  The spaces of more
+    than 128 vectors are checked without a target."""
     for problem in problems(n, q):
         size = full_space.search(problem)[0]
         for target in (None, 1, size) if q**n <= 128 else (None,):
@@ -284,6 +288,37 @@ def test_biplane_found_in_seconds():
     assert ["".join(map(str, v)) for v in result.witness.vectors] == [
         "00000011111", "00011100011", "00101101100", "01010110100", "01101010001", "01110001010",
         "10011011000", "10100110010", "10110000101", "11000101001", "11001000110",
+    ]
+
+
+def test_binary_n14_distance_6_within_a_node_budget():
+    """Binary n=14, constant distance 6: the maximum is 13, and the linear
+    programming bound (19.2) cannot settle it.  With one root per weight the
+    search took over five million nodes; with a second root per orbit of
+    the first roots' stabiliser it takes under 100,000.  The witness is the
+    one the search with one root per weight returns."""
+    result = search_max(SearchProblem(14, 2, PRED_DIST_CONST, lam=6))
+    assert (result.max_size, result.exhaustive) == (13, True)
+    assert result.nodes_explored < 100_000
+    assert ["".join(map(str, v)) for v in result.witness.vectors] == [
+        "00000000000000", "00000000111111", "00000111000111", "00001011011001", "00010011101010",
+        "00011100001011", "00100101011010", "00101001100011", "00110001001101", "01000101101001",
+        "01001001001110", "01010001010011", "01100010001011",
+    ]
+
+
+def test_intersection_n12_lambda_2_within_a_node_budget():
+    """Intersection n=12, lambda=2: the maximum is 11.  One root per weight
+    took over a million nodes; second roots take under 20,000.  The witness
+    is the one the search with one root per weight returns: the ten 3-sets
+    through {11, 12} and that pair itself."""
+    result = search_max(SearchProblem(12, 2, PRED_INTERSECT_CONST, lam=2))
+    assert (result.max_size, result.exhaustive) == (11, True)
+    assert result.nodes_explored < 20_000
+    assert ["".join(map(str, v)) for v in result.witness.vectors] == [
+        "000000000011", "000000000111", "000000001011", "000000010011", "000000100011",
+        "000001000011", "000010000011", "000100000011", "001000000011", "010000000011",
+        "100000000011",
     ]
 
 

@@ -18,6 +18,7 @@ from basisbound.search import (
     SearchProblem,
     enumerate_space,
     search_max,
+    second_roots,
 )
 
 
@@ -141,6 +142,68 @@ def test_enumerate_space_by_weight(q, n):
         for weights in combinations(range(n + 1), r):
             want = [v for v in space if n - v.count(0) in weights]
             assert enumerate_space(n, q, set(weights)) == want
+
+
+def stabiliser_orbits(n, q, w):
+    """The orbits of the stabiliser of 0 and r_w = 0^(n-w) 1^w in S_q wr S_n
+    on [0,q-1]^n, by closure under generators: swaps of neighbouring
+    coordinates on the same side of supp(r_w), and at each coordinate a swap
+    and a cycle of the symbols it may move (1..q-1 off the support, 2..q-1
+    on it)."""
+    side = [c >= n - w for c in range(n)]
+    perms = []
+    for c in range(n):
+        moved = list(range(2 if side[c] else 1, q))
+        if len(moved) >= 2:
+            swap = {moved[0]: moved[1], moved[1]: moved[0]}
+            cycle = dict(zip(moved, moved[1:] + moved[:1]))
+            perms += [(c, swap), (c, cycle)]
+
+    def moves(v):
+        for c in range(n - 1):
+            if side[c] == side[c + 1]:
+                yield v[:c] + (v[c + 1], v[c]) + v[c + 2:]
+        for c, perm in perms:
+            yield v[:c] + (perm.get(v[c], v[c]),) + v[c + 1:]
+
+    orbit_of = {}
+    for start in product(range(q), repeat=n):
+        if start in orbit_of:
+            continue
+        orbit_of[start] = start
+        todo = [start]
+        while todo:
+            for u in moves(todo.pop()):
+                if u not in orbit_of:
+                    orbit_of[u] = start
+                    todo.append(u)
+    return orbit_of
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_second_roots_one_per_orbit(n):
+    """second_roots gives one vector of the space per orbit of the first
+    roots' stabiliser, with its weight, ascending by weight then byte order,
+    and only those of the weights asked for.  The orbits, found by closure
+    under the group's generators, are the classes of the three counts (1s on
+    supp(r_w), other nonzero symbols on it, nonzero symbols off it).  Every
+    space of at most 256 vectors is checked."""
+    for q, w in product([q for q in range(2, 257) if q**n <= 256], range(n + 1)):
+        orbit_of = stabiliser_orbits(n, q, w)
+        groups = {}
+        for v, orbit in orbit_of.items():
+            counts = (v[n - w:].count(1), sum(1 for x in v[n - w:] if x > 1),
+                      sum(1 for x in v[:n - w] if x))
+            groups.setdefault(counts, set()).add(orbit)
+        assert all(len(orbits) == 1 for orbits in groups.values())
+        assert len(groups) == len(set(orbit_of.values()))
+        pairs = list(second_roots(n, q, w, range(n + 1)))
+        roots = [root for _, root in pairs]
+        assert all(tuple(root) in orbit_of for root in roots)
+        assert sorted(orbit_of[tuple(root)] for root in roots) == sorted(set(orbit_of.values()))
+        assert pairs == sorted((n - root.count(0), root) for root in roots)
+        for weights in ({w}, {0, n}, set(range(w, n + 1, 2))):
+            assert list(second_roots(n, q, w, weights)) == [p for p in pairs if p[0] in weights]
 
 
 def test_graph_guard_before_enumeration(monkeypatch):

@@ -15,9 +15,11 @@ evaluation matrix is not diagonal, and on the interpolation systems of
 `indicator_poly`.  Member functions are evaluated from the data directly:
 the hamming-tight members at a vector are its Hamming distances minus
 lambda, the two-distance members are products of Gram-entry differences.
-Both sides of every identity are computed by independent code paths and
-compared exactly; floating point appears only in the optional
-coordinate-level checks of two-distance sets.
+Both sides of every identity are computed by independent code paths.
+An identity's `left` and `right` are, as a rule, two exact values
+formatted in the certificate's field, and it holds when they are equal
+(`_equal`); floating point appears only in the optional coordinate-level
+checks of two-distance sets.
 """
 
 from __future__ import annotations
@@ -115,6 +117,13 @@ def _certificate(kind, hypotheses, coefficients, identities, details, not_applic
 
 def _format_list(field, values):
     return "[" + ", ".join(field.format(v) for v in values) + "]"
+
+
+def _equal(name, field, left, right) -> Identity:
+    """The identity left == right between two exact values (or two lists of
+    them), each side formatted in `field`."""
+    fmt = (lambda v: _format_list(field, v)) if isinstance(left, list) else field.format
+    return Identity(name, fmt(left), fmt(right), left == right)
 
 
 def _float_close(x: float, y: float, tol: float = FLOAT_TOLERANCE) -> bool:
@@ -228,11 +237,10 @@ def hamming_tight_certificate(system: VectorSystem, p: int, lam: int) -> Certifi
     # f_s(v_t) = d_H(v_s, v_t) - lambda = -lambda [s = t] mod p, so the
     # evaluation matrix is -lambda I and every coefficient is -1/lambda.
     alpha = -pow(lam_res, -1, p_value) % p_value
-    alpha_text = _format_list(ctx, [alpha])
     coefficients = [ctx.format(alpha)] * member_count
     identities = [
-        Identity("evaluation_matrix_nonsingular", str(member_count), str(member_count), True),
-        Identity("coefficients_equal_minus_inverse_lambda", alpha_text, alpha_text, True),
+        _equal("evaluation_matrix_nonsingular", QQ, member_count, member_count),
+        _equal("coefficients_equal_minus_inverse_lambda", ctx, [alpha], [alpha]),
     ]
     if q**4 > MAX_INTERPOLATION_WORK:
         raise ResourceGuardError(
@@ -250,32 +258,18 @@ def hamming_tight_certificate(system: VectorSystem, p: int, lam: int) -> Certifi
             for j in range(1, len(la)):
                 combo[1 + i * (q - 1) + (j - 1)] += la[j]
     combo = [alpha * c % p_value for c in combo]
-    identities.append(
-        Identity("combination_constant_term", ctx.format(combo[0]), "1", combo[0] == 1 % p_value)
-    )
+    identities.append(_equal("combination_constant_term", ctx, combo[0], ctx.one))
     nonconstant = sum(1 for c in combo[1:] if c)
-    identities.append(
-        Identity("combination_nonconstant_terms", str(nonconstant), "0", nonconstant == 0)
-    )
+    identities.append(_equal("combination_nonconstant_terms", QQ, nonconstant, 0))
 
     minus_lam = (-lam_res) % p_value
     for j in range(q):
         point = (j,) * n
         total = sum(hamming_distance(f, point) - lam for f in vectors) % p_value
-        identities.append(
-            Identity(
-                f"member_sum_at_constant_vector_{j}",
-                ctx.format(total),
-                ctx.format(minus_lam),
-                total == minus_lam,
-            )
-        )
+        identities.append(_equal(f"member_sum_at_constant_vector_{j}", ctx, total, minus_lam))
 
-    left = q * lam_res % p_value
-    right = (n * (q - 1) + 1) % p_value
-    identities.append(
-        Identity("tightness_congruence", ctx.format(left), ctx.format(right), left == right)
-    )
+    left, right = q * lam_res % p_value, (n * (q - 1) + 1) % p_value
+    identities.append(_equal("tightness_congruence", ctx, left, right))
     return _certificate("hamming-tight", hypotheses, coefficients, identities, details)
 
 
@@ -338,18 +332,9 @@ def two_distance_certificate(gram: GramTwoDistance) -> Certificate:
     off_nonzero = sum(
         1 for s, r in enumerate(entries) for m, g in enumerate(r) if m != s and g in nonzero
     )
-    identities.append(
-        Identity("evaluation_matrix_off_diagonal_zero", str(off_nonzero), "0", off_nonzero == 0)
-    )
+    identities.append(_equal("evaluation_matrix_off_diagonal_zero", QQ, off_nonzero, 0))
     diag_values = list(dict.fromkeys(product[r[s]] for s, r in enumerate(entries)))
-    identities.append(
-        Identity(
-            "evaluation_matrix_diagonal_value",
-            _format_list(field, diag_values),
-            _format_list(field, [target]),
-            diag_values == [target],
-        )
-    )
+    identities.append(_equal("evaluation_matrix_diagonal_value", field, diag_values, [target]))
 
     # The unit diagonal makes every diagonal entry (1-a)(1-b), nonzero as
     # a, b != 1; with no off-diagonal entry left, alpha = 1/target.
@@ -362,14 +347,7 @@ def two_distance_certificate(gram: GramTwoDistance) -> Certificate:
             alpha = [expected] * count
         coefficients = [field.format(x) for x in alpha]
         distinct = list(dict.fromkeys(alpha))
-        identities.append(
-            Identity(
-                "coefficients_equal_inverse_product",
-                _format_list(field, distinct),
-                _format_list(field, [expected]),
-                distinct == [expected],
-            )
-        )
+        identities.append(_equal("coefficients_equal_inverse_product", field, distinct, [expected]))
     except SingularSystemError as exc:
         coefficients = []
         identities.append(
@@ -379,14 +357,7 @@ def two_distance_certificate(gram: GramTwoDistance) -> Certificate:
     # N(ab + 1/n) = (1-a)(1-b): left side from N, n, a, b; right side from
     # a, b alone.
     left = count * (a * b + Fraction(1, n))
-    identities.append(
-        Identity(
-            "maximal_two_distance_relation",
-            field.format(left),
-            field.format(target),
-            left == target,
-        )
-    )
+    identities.append(_equal("maximal_two_distance_relation", field, left, target))
 
     if gram.coords is not None:
         try:
@@ -445,18 +416,13 @@ def neumaier_check(n: int, count: int, d1sq, d2sq) -> Certificate:
     ratio = d1sq / d2sq
     m = _ratio_integer_m(ratio)
     details["m"] = m
-    if m is not None:
-        right = Fraction(m - 1, m)
-        ident = Identity(
-            "ratio_is_m_minus_one_over_m",
-            field.format(ratio),
-            f"{right.numerator}/{right.denominator}",
-            True,
-        )
-    else:
-        ident = Identity(
-            "ratio_is_m_minus_one_over_m", field.format(ratio), "(m-1)/m for integer m", False
-        )
+    # m >= 2, so (m-1)/m is in lowest terms.
+    ident = Identity(
+        "ratio_is_m_minus_one_over_m",
+        field.format(ratio),
+        "(m-1)/m for integer m" if m is None else f"{m - 1}/{m}",
+        m is not None,
+    )
     return _certificate("neumaier", hypotheses, [], [ident], details)
 
 
@@ -529,20 +495,11 @@ def mod_design_certificate(family: SetFamily, p: int) -> Certificate:
         ("kNonzero", True),
         ("kMinusLambdaNonzero", True),
     ]
-    left = k * (k - 1) % p_value
-    right = lam * (n - 1) % p_value
-    identities = [
-        Identity("design_congruence", ctx.format(left), ctx.format(right), left == right)
-    ]
     degree_residues = sorted({d % p_value for d in degrees(family)})
-    identities.append(
-        Identity(
-            "degrees_congruent_to_size",
-            _format_list(ctx, degree_residues),
-            _format_list(ctx, [k]),
-            degree_residues == [k],
-        )
-    )
+    identities = [
+        _equal("design_congruence", ctx, k * (k - 1) % p_value, lam * (n - 1) % p_value),
+        _equal("degrees_congruent_to_size", ctx, degree_residues, [k]),
+    ]
     details = {"n": n, "p": p_value, "k_residue": k, "lambda_residue": lam}
     return _certificate("mod-design", hypotheses, [], identities, details)
 
@@ -620,7 +577,6 @@ def ryser_decompose(family: SetFamily, lam: int) -> Certificate:
     point_degrees = degrees(family)
     kappa = _fisher_kappa(members, [s - lam for s in sizes], lam, n)
 
-    identities = []
     # Re-substitution, in integers over the incidences: with kappa cleared
     # to integers c by its common denominator D, A kappa = lambda 1 reads
     # sum_{i in A_j} c_i = lambda D for every member j.  A is nonsingular,
@@ -628,56 +584,29 @@ def ryser_decompose(family: SetFamily, lam: int) -> Certificate:
     denom = math.lcm(*(k.denominator for k in kappa))
     ints = [k.numerator * (denom // k.denominator) for k in kappa]
     mismatches = sum(1 for m in members if sum(ints[i] for i in m) != lam * denom)
-    identities.append(
-        Identity("monomial_resubstitution_mismatches", str(mismatches), "0", mismatches == 0)
-    )
+    identities = [
+        _equal("monomial_resubstitution_mismatches", QQ, mismatches, 0),
+        _equal("degree_from_kappa", QQ, point_degrees, [k * (n - 1) + 1 for k in kappa]),
+    ]
 
-    derived_degrees = [k * (n - 1) + 1 for k in kappa]
-    identities.append(
-        Identity(
-            "degree_from_kappa",
-            _format_list(QQ, [Fraction(d) for d in point_degrees]),
-            _format_list(QQ, derived_degrees),
-            [Fraction(d) for d in point_degrees] == derived_degrees,
-        )
-    )
-
+    # Fisher's identity makes A nonsingular, so every point lies in a
+    # member and sigma_i > 0; sigma_i <= S then gives 0 < kappa_i < 1, and
+    # neither 1/kappa_i nor 1/(1 - kappa_i) divides by zero.
     recip = [Fraction(1, s - lam) for s in sizes]
     point_sums = [0] * n
     for member, x in zip(members, recip):
         for i in member:
             point_sums[i] += x
-    expected_point = [1 / (1 - k) if k != 1 else None for k in kappa]
-    point_ok = all(
-        e is not None and s == e for s, e in zip(point_sums, expected_point)
-    )
-    identities.append(
-        Identity(
-            "point_reciprocal_sum",
-            _format_list(QQ, point_sums),
-            _format_list(QQ, [e if e is not None else Fraction(0) for e in expected_point]),
-            point_ok,
-        )
-    )
+    identities.append(_equal("point_reciprocal_sum", QQ, point_sums, [1 / (1 - k) for k in kappa]))
 
     global_sum = sum(recip)
-    per_point = []
-    for i in range(n):
-        if kappa[i] in (0, 1):
-            per_point.append(None)
-        else:
-            per_point.append(1 / kappa[i] + 1 / (1 - kappa[i]) - Fraction(1, lam))
-    global_ok = all(v is not None and v == global_sum for v in per_point)
-    distinct_global = []
-    for v in per_point:
-        if v is not None and v not in distinct_global:
-            distinct_global.append(v)
+    per_point = list(dict.fromkeys(1 / k + 1 / (1 - k) - Fraction(1, lam) for k in kappa))
     identities.append(
         Identity(
             "global_reciprocal_sum",
             QQ.format(global_sum),
-            _format_list(QQ, distinct_global),
-            global_ok,
+            _format_list(QQ, per_point),
+            per_point == [global_sum],
         )
     )
 
@@ -694,55 +623,17 @@ def ryser_decompose(family: SetFamily, lam: int) -> Certificate:
     }
     coefficients = [QQ.format(k) for k in kappa]
 
-    if len(kappa_values) == 1:
-        details["alternative"] = "A"
-        r = kappa_values[0] * (n - 1) + 1
-        details["r"] = QQ.format(r)
-        uniform_sizes = sorted(set(sizes))
-        identities.append(
-            Identity(
-                "uniform_size_equals_degree",
-                _format_list(QQ, [Fraction(s) for s in uniform_sizes]),
-                _format_list(QQ, [r]),
-                uniform_sizes == [r],
-            )
-        )
-        degree_set = sorted(set(point_degrees))
-        identities.append(
-            Identity(
-                "degrees_uniform",
-                _format_list(QQ, [Fraction(d) for d in degree_set]),
-                _format_list(QQ, [r]),
-                [Fraction(d) for d in degree_set] == [r],
-            )
-        )
-    elif len(kappa_values) == 2:
-        details["alternative"] = "B"
-        k1, k2 = kappa_values
-        r1 = k1 * (n - 1) + 1
-        r2 = k2 * (n - 1) + 1
-        details["r"] = QQ.format(r2)
-        details["r_prime"] = QQ.format(r1)
-        identities.append(
-            Identity("kappa_pair_sum", QQ.format(k1 + k2), "1", k1 + k2 == 1)
-        )
-        identities.append(
-            Identity(
-                "degree_pair_sum",
-                QQ.format(r1 + r2),
-                str(n + 1),
-                r1 + r2 == n + 1,
-            )
-        )
-        degree_set = sorted(set(point_degrees))
-        identities.append(
-            Identity(
-                "degrees_take_both_values",
-                _format_list(QQ, [Fraction(d) for d in degree_set]),
-                _format_list(QQ, sorted([r1, r2])),
-                [Fraction(d) for d in degree_set] == sorted([r1, r2]),
-            )
-        )
+    degree_set = sorted(set(point_degrees))
+    rs = [k * (n - 1) + 1 for k in kappa_values]
+    if len(rs) == 1:
+        details.update(alternative="A", r=QQ.format(rs[0]))
+        identities.append(_equal("uniform_size_equals_degree", QQ, sorted(set(sizes)), rs))
+        identities.append(_equal("degrees_uniform", QQ, degree_set, rs))
+    elif len(rs) == 2:
+        details.update(alternative="B", r=QQ.format(rs[1]), r_prime=QQ.format(rs[0]))
+        identities.append(_equal("kappa_pair_sum", QQ, sum(kappa_values), 1))
+        identities.append(_equal("degree_pair_sum", QQ, sum(rs), n + 1))
+        identities.append(_equal("degrees_take_both_values", QQ, degree_set, rs))
     else:
         details["alternative"] = "none"
 

@@ -56,7 +56,7 @@ from .constructions import (
 )
 from .errors import HypothesisViolationError, MalformedInputError
 from .exactfield import QQ, ExactMatrix, PrimeFieldCtx, QuadExtField, scalar_field
-from .families import SetFamily, VectorSystem
+from .families import SetFamily, VectorSystem, json_int
 from .search import (
     PRED_DIST_CONST,
     PRED_DIST_MOD,
@@ -275,9 +275,9 @@ def _load_matrix(doc) -> ExactMatrix:
         if kind == "rational":
             field = QQ
         elif kind == "prime":
-            field = PrimeFieldCtx(int(field_doc["p"]))
+            field = PrimeFieldCtx(json_int(field_doc, "p"))
         elif kind == "quadratic":
-            field = QuadExtField(int(field_doc["d"]))
+            field = QuadExtField(json_int(field_doc, "d"))
         else:
             raise MalformedInputError(f"unknown field kind {kind!r}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -22,15 +22,13 @@ from .errors import (
     UnsupportedOrderError,
 )
 from .exactfield import (
-    QQ,
     ExactMatrix,
     QuadExt,
-    QuadExtField,
     inertia_psd_rank,
     is_prime,
     scalar_field,
 )
-from .families import SetFamily, distance_set, intersection_profile
+from .families import SetFamily, distance_set, intersection_profile, json_int
 
 MAX_PLANE_ORDER = 31
 MAX_HADAMARD_V = 128  # 4v-1 <= 511 points: the plus-full check takes seconds
@@ -115,8 +113,8 @@ class GramTwoDistance:
     @classmethod
     def from_json_dict(cls, doc):
         try:
-            n = int(doc["n"])
-            count = int(doc["N"])
+            n = json_int(doc, "n")
+            count = json_int(doc, "N")
             scalars = [doc["a"], doc["b"]]
             grid = doc["gram"]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -275,34 +273,32 @@ def near_pencil(n: int) -> SetFamily:
     return SetFamily.from_sets(n, sets)
 
 
+def _two_distance(n, a, b, points, takes_a, rank, coords=None, affine_dim=None):
+    """Unit-diagonal Gram of `points` in dimension n: inner product a between
+    distinct points x, y with takes_a(x, y), b between the others.  The
+    two-distance postcondition is checked and the rank must be `rank`."""
+    field = scalar_field([a, b])
+    rows = [
+        [field.one if i == j else a if takes_a(x, y) else b for j, y in enumerate(points)]
+        for i, x in enumerate(points)
+    ]
+    gram = GramTwoDistance(n, len(rows), a, b, ExactMatrix(field, rows), coords, affine_dim)
+    rk = gram.self_check()
+    if rk != rank:
+        raise InternalInconsistencyError(f"gram rank {rk} != {rank}")
+    return gram
+
+
 def pentagon() -> GramTwoDistance:
     """Regular pentagon on the unit circle: 5 = 2(2+3)/2 points with inner
     products (sqrt5 - 1)/4 between neighbours and -(sqrt5 + 1)/4 otherwise,
     exact over Q(sqrt 5)."""
-    field = QuadExtField(5)
-    a = QuadExt(Fraction(-1, 4), Fraction(1, 4), 5)
-    b = QuadExt(Fraction(-1, 4), Fraction(-1, 4), 5)
-    rows = []
-    for i in range(5):
-        row = []
-        for j in range(5):
-            if i == j:
-                row.append(field.one)
-            elif (i - j) % 5 in (1, 4):
-                row.append(a)
-            else:
-                row.append(b)
-        rows.append(row)
     coords = tuple(
         (math.cos(2 * math.pi * k / 5), math.sin(2 * math.pi * k / 5)) for k in range(5)
     )
-    gram = GramTwoDistance(
-        n=2, count=5, value_a=a, value_b=b, gram=ExactMatrix(field, rows), coords=coords
-    )
-    rk = gram.self_check()
-    if rk != 2:
-        raise InternalInconsistencyError(f"pentagon gram rank {rk} != 2")
-    return gram
+    a = QuadExt(Fraction(-1, 4), Fraction(1, 4), 5)
+    b = QuadExt(Fraction(-1, 4), Fraction(-1, 4), 5)
+    return _two_distance(2, a, b, range(5), lambda i, j: (i - j) % 5 in (1, 4), 2, coords)
 
 
 _SCHLAEFLI_MEET = -Fraction(1, 2)
@@ -333,35 +329,14 @@ def schlafli27() -> GramTwoDistance:
             x, y = y, x
         return x[1] in y[1:]
 
-    count = len(labels)
-    rows = []
-    for i, x in enumerate(labels):
-        row = []
-        for j, y in enumerate(labels):
-            if i == j:
-                row.append(Fraction(1))
-            elif meets(x, y):
-                row.append(_SCHLAEFLI_MEET)
-            else:
-                row.append(_SCHLAEFLI_SKEW)
-        rows.append(row)
-
-    for i, x in enumerate(labels):
-        degree = sum(1 for j, y in enumerate(labels) if i != j and meets(x, y))
+    for x in labels:
+        degree = sum(1 for y in labels if y != x and meets(x, y))
         if degree != 10:
             raise InternalInconsistencyError(f"label {x} meets {degree} lines, expected 10")
 
-    gram = GramTwoDistance(
-        n=6,
-        count=count,
-        value_a=_SCHLAEFLI_SKEW,
-        value_b=_SCHLAEFLI_MEET,
-        gram=ExactMatrix(QQ, rows),
+    return _two_distance(
+        6, _SCHLAEFLI_SKEW, _SCHLAEFLI_MEET, labels, lambda x, y: not meets(x, y), 6
     )
-    rk = gram.self_check()
-    if rk != 6:
-        raise InternalInconsistencyError(f"27-line gram rank {rk} != 6")
-    return gram
 
 
 def johnson_pairs(m: int) -> GramTwoDistance:
@@ -373,32 +348,10 @@ def johnson_pairs(m: int) -> GramTwoDistance:
     if m > MAX_JOHNSON_M:
         raise HypothesisViolationError(f"dimension above desk scale: {m} > {MAX_JOHNSON_M}")
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    count = len(pairs)
-    rows = []
-    for x in pairs:
-        row = []
-        for y in pairs:
-            if x == y:
-                row.append(Fraction(1))
-            elif set(x) & set(y):
-                row.append(Fraction(1, 2))
-            else:
-                row.append(Fraction(0))
-        rows.append(row)
     inv_sqrt2 = 1 / math.sqrt(2)
     coords = tuple(
         tuple(inv_sqrt2 if k in pair else 0.0 for k in range(m)) for pair in pairs
     )
-    gram = GramTwoDistance(
-        n=m,
-        count=count,
-        value_a=Fraction(1, 2),
-        value_b=Fraction(0),
-        gram=ExactMatrix(QQ, rows),
-        coords=coords,
-        affine_dim=m - 1,
+    return _two_distance(
+        m, Fraction(1, 2), Fraction(0), pairs, lambda x, y: set(x) & set(y), m, coords, m - 1
     )
-    rk = gram.self_check()
-    if rk != m:
-        raise InternalInconsistencyError(f"johnson gram rank {rk} != {m}")
-    return gram

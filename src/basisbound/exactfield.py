@@ -207,26 +207,13 @@ class QuadExt:
         return not self.is_zero()
 
     def sign(self) -> int:
-        """Exact sign via case analysis on the signs of the two parts."""
-        a, b = self.rat, self.surd
-        if b == 0:
-            return 0 if a == 0 else (1 if a > 0 else -1)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # Opposite signs: compare a^2 against b^2 * d.
-        lhs = a * a
-        rhs = b * b * self.d
-        if a > 0:  # b < 0
-            if lhs == rhs:
-                return 0
-            return 1 if lhs > rhs else -1
-        if lhs == rhs:  # a < 0, b > 0
-            return 0
-        return -1 if lhs > rhs else 1
+        """Exact sign: the parts' common sign, or when they differ, the sign
+        of the rational part times that of a^2 - b^2 d."""
+        sa, sb = (self.rat > 0) - (self.rat < 0), (self.surd > 0) - (self.surd < 0)
+        if sa * sb >= 0:
+            return sa or sb
+        excess = self.rat * self.rat - self.surd * self.surd * self.d
+        return sa * ((excess > 0) - (excess < 0))
 
     def __float__(self):
         return float(self.rat) + float(self.surd) * self.d**0.5

@@ -18,6 +18,15 @@ from .errors import (
 MAX_GROUND = 1024
 
 
+def json_int(doc, key) -> int:
+    """doc[key], which must be a JSON integer: a float, a bool or a string is
+    malformed, not truncated or parsed."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MalformedInputError(f"{key!r} must be a JSON integer, not {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class VectorSystem:
     """Ordered system of distinct vectors in [0, q-1]^n."""
@@ -66,7 +75,7 @@ class VectorSystem:
     @classmethod
     def from_json_dict(cls, doc):
         try:
-            return cls.from_lists(int(doc["n"]), int(doc["q"]), doc["vectors"])
+            return cls.from_lists(json_int(doc, "n"), json_int(doc, "q"), doc["vectors"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedInputError(f"bad vector-system document: {exc}") from exc
 
@@ -124,7 +133,7 @@ class SetFamily:
     @classmethod
     def from_json_dict(cls, doc):
         try:
-            return cls.from_sets(int(doc["n"]), doc["sets"])
+            return cls.from_sets(json_int(doc, "n"), doc["sets"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedInputError(f"bad family document: {exc}") from exc
 

@@ -1,6 +1,8 @@
 """Certificates: independence, tight families, two-distance sets, design
 congruences and the Ryser dichotomy."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -28,7 +30,14 @@ from basisbound.constructions import (
     schlafli27,
 )
 from basisbound.errors import HypothesisViolationError, MalformedInputError
-from basisbound.exactfield import QQ, ExactMatrix, PrimeFieldCtx, QuadExt, solve_linear
+from basisbound.exactfield import (
+    QQ,
+    ExactMatrix,
+    PrimeFieldCtx,
+    QuadExt,
+    QuadExtField,
+    solve_linear,
+)
 from basisbound.families import SetFamily, VectorSystem, hamming_distance
 
 
@@ -314,13 +323,16 @@ def test_two_distance_off_diagonal_coefficients_pinned():
     assert (ident.left, ident.holds) == ("[117/217-27/217*sqrt(5), 4/5]", False)
 
 
+def _singular_gram():
+    return GramTwoDistance.from_json_dict(
+        {"n": 1, "N": 2, "a": "0", "b": "1/2", "gram": [["1", "-1/2"], ["-1/2", "1"]]}
+    )
+
+
 def test_two_distance_singular_evaluation_matrix():
     """a = 0, b = 1/2 and Gram entry -1/2 give E = [[1/2, 1/2], [1/2, 1/2]]:
     the solved path reports the rank and no coefficients."""
-    gram = GramTwoDistance.from_json_dict(
-        {"n": 1, "N": 2, "a": "0", "b": "1/2", "gram": [["1", "-1/2"], ["-1/2", "1"]]}
-    )
-    cert = two_distance_certificate(gram)
+    cert = two_distance_certificate(_singular_gram())
     assert cert.verdict == "fail" and cert.coefficients == []
     assert cert.identity("coefficients_equal_inverse_product").left == "singular (rank 1)"
 
@@ -554,3 +566,102 @@ def test_ryser_kappa_matches_elimination(family, lam):
     cert = ryser_decompose(family, lam)
     assert cert.passed
     assert [Fraction(k) for k in cert.coefficients] == solve_linear(incidence, [lam] * n)
+
+
+# -- payload pins ------------------------------------------------------------------
+
+
+def _hadamard2_without_last():
+    system = hadamard_plus_full(2).to_vector_system()
+    return VectorSystem(system.n, system.q, system.vectors[:-1])
+
+
+SQRT5 = QuadExt(Fraction(0), Fraction(1), 5)
+
+# case -> (certificate builder, sha256 of its payload as the CLI prints it).
+PAYLOAD_CASES = {
+    "ryser-fano": (
+        lambda: ryser_decompose(fano_plane(), 1),
+        "1d839745b204824bba99bc70978e636e202c882c26d561e3e1b0c33d5fcdf99a",
+    ),
+    "ryser-near-pencil-12": (
+        lambda: ryser_decompose(near_pencil(12), 1),
+        "5131a407e8152c9f8e83650c9f613b45e9725a53b8786059c7b1ded2486a96a3",
+    ),
+    "hamming-tight-hadamard2": (
+        lambda: hamming_tight_certificate(hadamard_plus_full(2).to_vector_system(), 7, 4),
+        "15af77d8efa287089c83f91d7e9f491a2dfe7b6bb51d2bd19e42a8ade0ae3d13",
+    ),
+    "hamming-tight-not-applicable": (
+        lambda: hamming_tight_certificate(_hadamard2_without_last(), 7, 4),
+        "e11975d886be9420454b5c5b8097687ab4d9b71fec06d55daab5de406dfec8fd",
+    ),
+    "two-distance-pentagon": (
+        lambda: two_distance_certificate(pentagon()),
+        "ace0efb2e40299e5e9081130914d2a3b5a62cfdf3ca7339c59ecd23b3f4bfe6b",
+    ),
+    "two-distance-mutated-schlafli": (
+        lambda: two_distance_certificate(_mutated_schlafli()),
+        "b9604cdb086b903c247995a49773f5b5724e71434603e3b9aa304009f920459d",
+    ),
+    "two-distance-singular": (
+        lambda: two_distance_certificate(_singular_gram()),
+        "545941fed00c9ffb525f39995b2c6def5ba8c9d93d684642f3d12a1e26c14f0e",
+    ),
+    "neumaier-pass": (
+        lambda: neumaier_check(5, 12, Fraction(3), Fraction(4)),
+        "b0d75b255bb391eaf6fe567982ed01893702bc1b40af547849e4173733db99cd",
+    ),
+    "neumaier-fail": (
+        lambda: neumaier_check(2, 8, Fraction(1), 2 + SQRT5),
+        "ccc98a05cc2a935f10894b45a75c922a1ea99b0b4d58b7fc8dc4029602ec7ec1",
+    ),
+    "neumaier-not-applicable": (
+        lambda: neumaier_check(2, 5, Fraction(1), Fraction(2)),
+        "60892a809dba7210378125325a298c2fe245becf746053f1ab56f379c92ca31b",
+    ),
+    "independence-q": (
+        lambda: certify_independence(ExactMatrix(QQ, [[2, 1], [1, Fraction(1, 3)]])),
+        "39d6e3a2b390bcc5ec5dcb59a5311583b125107bfb10a64a17e74f4e031c59bf",
+    ),
+    "independence-f5": (
+        lambda: certify_independence(ExactMatrix(PrimeFieldCtx(5), [[1, 2], [3, 1]])),
+        "5b1c2a0250eb1dff8343f566062365aa2fe00e783f6a95da52dc83511fee3c0b",
+    ),
+    "independence-q-sqrt5": (
+        lambda: certify_independence(
+            ExactMatrix(QuadExtField(5), [[1 + SQRT5, 2], [1, 1 - SQRT5]])
+        ),
+        "2b293ea66cf39438a2f9d240f23871e4764cf7cf444c5a31880c7e29ebdd5b66",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PAYLOAD_CASES))
+def test_certificate_payload_bytes_pinned(case):
+    """Pass, fail and not-applicable certificates of every kind keep their
+    payload byte for byte: identity sides, coefficients and details."""
+    build, digest = PAYLOAD_CASES[case]
+    payload = json.dumps(build().to_json_dict(), indent=2)
+    assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "certify, message, clause",
+    [
+        (lambda: ryser_decompose(hadamard_plus_full(2), 1),
+         "sets 0 and 7 meet in 3 points, not 1", "constantIntersection"),
+        (lambda: mod_design_certificate(
+            SetFamily.from_sets(4, [[1, 2], [1, 3], [2, 3], [3, 4]]), 5),
+         "intersections of pair (0,1) and (0,3) differ mod 5", "commonIntersectionResidue"),
+        (lambda: hamming_tight_certificate(
+            VectorSystem.from_lists(3, 2, [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)]), 5, 2),
+         "distance 1 between members 0 and 1 is not 2 mod 5", "distancesCongruent"),
+    ],
+    ids=["ryser", "mod-design", "hamming-tight"],
+)
+def test_hypothesis_violation_names_the_pair(certify, message, clause):
+    with pytest.raises(HypothesisViolationError) as err:
+        certify()
+    assert type(err.value) is HypothesisViolationError
+    assert (str(err.value), err.value.clause) == (message, clause)

@@ -30,6 +30,8 @@ from basisbound.constructions import fano_plane, hadamard_plus_full, pentagon
 # A decimal literal longer than the interpreter's int-to-str limit (4,300).
 LONG = "1" * 4401
 
+FANO_SETS = fano_plane().to_json_dict()["sets"]
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -369,12 +371,25 @@ def test_certify_independence_entries_not_rows_exit_3(tmp_path, capsys, entries)
         (["ryser", "--lambda", "1", "--family"], '{"n": "abc", "sets": [[1]]}'),
         (["hamming-tight", "--p", "3", "--lambda", "1", "--vectors"],
          '{"n": "abc", "q": 2, "vectors": [[0]]}'),
+        # Integer fields must be JSON integers: int() would truncate a float
+        # and read a bool or a digit string, and each document below would
+        # then be certified.
+        (["ryser", "--lambda", "1", "--family"], json.dumps({"n": 7.9, "sets": FANO_SETS})),
+        (["independence", "--matrix"],
+         '{"field": {"kind": "prime", "p": 5.9}, "entries": [["1", "2"], ["3", "4"]]}'),
+        (["hamming-tight", "--p", "3", "--lambda", "1", "--vectors"],
+         '{"n": 1, "q": 2.9, "vectors": [[0], [1]]}'),
+        (["two-distance", "--gram"], json.dumps({**pentagon().to_json_dict(), "N": 5.2})),
+        (["ryser", "--lambda", "1", "--family"], '{"n": true, "sets": [[1]]}'),
+        (["ryser", "--lambda", "1", "--family"], json.dumps({"n": "7", "sets": FANO_SETS})),
     ],
     ids=["matrix-prime-without-p", "matrix-radicand-null", "gram-a-number", "gram-not-rows",
          "gram-coords-not-rows", "gram-coords-short-row", "family-n-overflow",
          "vectors-q-overflow", "vectors-float-entry", "matrix-long-rational",
          "matrix-long-residue", "matrix-long-surd", "matrix-p-text", "matrix-superscript-residue",
-         "gram-long-a", "gram-n-text", "gram-coords-text", "family-n-text", "vectors-n-text"],
+         "gram-long-a", "gram-n-text", "gram-coords-text", "family-n-text", "vectors-n-text",
+         "family-n-float", "matrix-p-float", "vectors-q-float", "gram-N-float", "family-n-bool",
+         "family-n-digit-string"],
 )
 def test_certify_malformed_document_exit_3(tmp_path, capsys, argv, document):
     path = tmp_path / "doc.json"

@@ -1,5 +1,6 @@
 """Exact scalar arithmetic and matrix routines."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,21 @@ def test_quadratic_sign_exact():
     assert quad(-2, 1).sign() == 1
     assert quad(Fraction(-9, 4), 1).sign() == -1
     assert quad(0, 0).sign() == 0
+    # Against sympy's sign of a + b*sqrt(d) on drawn rationals; half the
+    # rational parts are rounded multiples of b*sqrt(d), so a^2 is close to
+    # b^2 d and only the exact comparison decides.
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(26)
+    for _ in range(600):
+        d = rng.choice((2, 3, 5, 6, 7, 13))
+        b = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+        if rng.random() < 0.5:
+            den = rng.randint(1, 10**6)
+            a = -Fraction(round(float(b) * d**0.5 * den), den) * rng.choice((1, -1))
+        else:
+            a = Fraction(rng.randint(-50, 50), rng.randint(1, 12))
+        expected = sympy.sign(sympy.Rational(a) + sympy.Rational(b) * sympy.sqrt(d))
+        assert QuadExt(a, b, d).sign() == expected, (a, b, d)
 
 
 def test_quadratic_mixed_radicands_error():

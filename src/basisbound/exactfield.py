@@ -15,9 +15,14 @@ rank, determinant, solve_linear and invert share one Gauss-Jordan engine,
 `_eliminate`, with two paths.  Over Q and Q(sqrt(d)) it runs fraction-free
 (Bareiss 1968) on integers, or on pairs (a, b) = a + b sqrt(d) of the ring
 Z[sqrt d], after each row is cleared of denominators by their lcm; over Q
-solve_linear re-substitutes on integers too.  Over F_p it runs on residues
-mod p, scaling each pivot to one.  inertia_psd_rank runs the same
-fraction-free update on a symmetric matrix, pivoting on its diagonal.
+solve_linear re-substitutes on integers too.  Over F_p it runs on packed
+residue rows: each row is one integer of s-bit slots, one residue per slot,
+so that a row update is one big-integer multiply-add, and the reduction mod
+p waits until a row is read.  Each pivot row is scaled to a leading one,
+every addend is nonnegative, and s = (p-1 + r (p-1)^2).bit_length() for r
+rows, so no slot ever borrows from or carries into its neighbour.
+inertia_psd_rank runs the fraction-free update on a symmetric matrix,
+pivoting on its diagonal.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .errors import (
     SingularSystemError,
 )
 
-_RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 _QUAD_RE = re.compile(
     r"^(?P<rat>[+-]?\d+(?:/\d+)?)?"
     r"(?P<sign>[+-])?"
@@ -93,10 +98,12 @@ def format_rational(x: Fraction) -> str:
 
 def parse_rational(s: str) -> Fraction:
     s = s.strip()
-    if not _RAT_RE.match(s):
+    m = _RAT_RE.match(s)
+    if not m:
         raise MalformedInputError(f"not a rational literal: {s!r}")
+    num, den = m.groups()
     try:
-        return Fraction(s)
+        return Fraction(int(num), int(den or 1))
     except ZeroDivisionError as exc:
         raise MalformedInputError(f"zero denominator: {s!r}") from exc
     except ValueError as exc:  # more digits than int() converts
@@ -458,6 +465,20 @@ def _bareiss(d, pivot, head, prev, xs, ys):
     ]
 
 
+def _packed(residues, s):
+    """One integer holding residues[j] in bits [s j, s (j + 1))."""
+    packed = 0
+    for x in reversed(residues):
+        packed = packed << s | x
+    return packed
+
+
+def _unpacked(packed, s, n, p):
+    """The first n s-bit slots of `packed`, each reduced mod p."""
+    mask = (1 << s) - 1
+    return [(packed >> (s * j) & mask) % p for j in range(n)]
+
+
 def _eliminate(rows, width, modulus=None, d=None, jordan=False):
     """Gauss-Jordan elimination of `rows` in place, pivoting on the first
     `width` columns; the columns after them ride along.
@@ -467,9 +488,11 @@ def _eliminate(rows, width, modulus=None, d=None, jordan=False):
     (Bareiss 1968): every other row becomes (pivot * row - head * pivot_row)
     / prev, where head is the row's entry in the pivot column and prev the
     previous pivot.  The division is exact in Z or Z[sqrt d], because each
-    entry is then a minor of the input.  On residues mod `modulus` the pivot
-    row is scaled to a leading one instead and subtracted from every row
-    with a nonzero head.  Rows below the pivot are cleared, and with
+    entry is then a minor of the input.  On residues mod p = `modulus` the
+    pivot row is scaled to a leading one instead and cancels every other
+    row's head, on rows packed into slots of s = (p-1 + r (p-1)^2)
+    .bit_length() bits for r rows, too wide to overflow
+    (`_eliminate_residues`).  Rows below the pivot are cleared, and with
     `jordan` the rows above it too; columns left of the pivot are not
     updated again.
 
@@ -479,6 +502,8 @@ def _eliminate(rows, width, modulus=None, d=None, jordan=False):
     ridden-along columns of row i hold last times row i of the solution; on
     residues last is the product of the pivots and they hold the solution.
     """
+    if modulus:
+        return _eliminate_residues(rows, width, modulus, jordan)
     nrows = len(rows)
     zero = (0, 0) if d else 0
     rank, sign, prev = 0, 1, (1, 0) if d else 1
@@ -492,22 +517,64 @@ def _eliminate(rows, width, modulus=None, d=None, jordan=False):
             rows[rank], rows[found] = rows[found], rows[rank]
             sign = -sign
         pivot = rows[rank][col]
-        if modulus:
-            inverse = pow(pivot, modulus - 2, modulus)
-            rows[rank][col:] = [x * inverse % modulus for x in rows[rank][col:]]
         top = rows[rank][col:]
         for i in range(0 if jordan else rank + 1, nrows):
-            row = rows[i]
-            head = row[col]
-            if i == rank:
-                continue
-            if not modulus:
-                row[col:] = _bareiss(d, pivot, head, prev, row[col:], top)
-            elif head:
-                row[col:] = [(a - head * b) % modulus for a, b in zip(row[col:], top)]
-        prev = prev * pivot % modulus if modulus else pivot
+            if i != rank:
+                row = rows[i]
+                row[col:] = _bareiss(d, pivot, row[col], prev, row[col:], top)
+        prev = pivot
         rank += 1
     return rank, sign, prev
+
+
+def _eliminate_residues(rows, width, p, jordan):
+    """`_eliminate` on residues mod the prime p, with each row packed into
+    one integer of s-bit slots, so that a row update is one big-integer
+    multiply-add (the packing of Dumas, Fousse & Salvy, J. Symbolic Comput.
+    2011).  The packed row holds the row's columns from the current one on,
+    the current column in the lowest slot: a head is read with a mask and
+    `% p`, and finishing a column writes its slot back, reduced, and
+    shifts it out.
+
+    The reduction mod p is delayed.  Once per pivot the pivot row is
+    unpacked, reduced, scaled to a leading one and repacked as `top`; every
+    other row with a nonzero head h gets row += (p - h) top, which cancels
+    the head mod p.  The added term is never negative, so no slot borrows
+    from its neighbour.  A slot starts below p and gains at most (p-1)^2 at
+    each of at most r pivots, r the row count, so with
+    s = (p-1 + r (p-1)^2).bit_length() no slot carries into the next.
+    A row that stops changing (the pivot row, unless `jordan`) is written
+    back at once; the rest are unpacked and reduced once at the end.
+    """
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    s = (p - 1 + nrows * (p - 1) ** 2).bit_length()
+    mask = (1 << s) - 1
+    packed = [_packed(r, s) for r in rows]
+    rank, sign, last, col = 0, 1, 1, 0
+    while col < width and rank < nrows:
+        found = next((i for i in range(rank, nrows) if (packed[i] & mask) % p), None)
+        if found is not None:
+            if found != rank:
+                packed[rank], packed[found] = packed[found], packed[rank]
+                rows[rank], rows[found] = rows[found], rows[rank]
+                sign = -sign
+            scaled = _unpacked(packed[rank], s, ncols - col, p)
+            pivot = scaled[0]
+            inverse = pow(pivot, p - 2, p)
+            scaled = rows[rank][col:] = [x * inverse % p for x in scaled]
+            top = packed[rank] = _packed(scaled, s)
+            for i in range(0 if jordan else rank + 1, nrows):
+                if i != rank and (head := (packed[i] & mask) % p):
+                    packed[i] += (p - head) * top
+            last = last * pivot % p
+            rank += 1
+        for i in range(0 if jordan else rank, nrows):
+            rows[i][col] = (packed[i] & mask) % p
+            packed[i] >>= s
+        col += 1
+    for i in range(0 if jordan else rank, nrows):
+        rows[i][col:] = _unpacked(packed[i], s, ncols - col, p)
+    return rank, sign, last
 
 
 def _cleared(field, rows, common=False):

@@ -80,6 +80,11 @@ class VectorSystem:
             raise MalformedInputError(f"bad vector-system document: {exc}") from exc
 
 
+def _check_ground(n):
+    if n < 0 or n > MAX_GROUND:
+        raise MalformedInputError(f"ground-set size out of range: {n}")
+
+
 @dataclass(frozen=True)
 class SetFamily:
     """Ordered family of subsets of [n], each set stored as a bitmask
@@ -90,8 +95,7 @@ class SetFamily:
     masks: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 0 or self.n > MAX_GROUND:
-            raise MalformedInputError(f"ground-set size out of range: {self.n}")
+        _check_ground(self.n)
         full = (1 << self.n) - 1
         for m in self.masks:
             if m < 0 or m & ~full:
@@ -99,6 +103,8 @@ class SetFamily:
 
     @classmethod
     def from_sets(cls, n, sets):
+        # Checked first: an element may be as large as n, so n bounds the masks.
+        _check_ground(n)
         masks = []
         for s in sets:
             m = 0

@@ -331,6 +331,96 @@ def test_determinant_matches_cofactor_expansion():
         assert determinant(ExactMatrix(QQ, rows)) == cofactor(rows)
 
 
+# -- F_p routines against textbook elimination ------------------------------
+
+
+def _naive_mod_p(rows, p, nrhs=0):
+    """(rank, det, solution, reduced) of the first len(row) - nrhs columns
+    of `rows` by textbook Gauss-Jordan mod p, one reduced entry at a time:
+    det and solution are None unless those columns form a nonsingular
+    square, and `reduced` is the eliminated matrix."""
+    rows = [list(r) for r in rows]
+    width = len(rows[0]) - nrhs if rows else 0
+    rk, det = 0, 1
+    for col in range(width):
+        found = next((i for i in range(rk, len(rows)) if rows[i][col]), None)
+        if found is None:
+            continue
+        if found != rk:
+            rows[rk], rows[found] = rows[found], rows[rk]
+            det = -det
+        pivot = rows[rk][col]
+        det = det * pivot % p
+        rows[rk] = [x * pow(pivot, -1, p) % p for x in rows[rk]]
+        for i, row in enumerate(rows):
+            if i != rk and row[col]:
+                rows[i] = [(a - row[col] * b) % p for a, b in zip(row, rows[rk])]
+        rk += 1
+    if rk < len(rows) or len(rows) != width:
+        return rk, None, None, rows
+    return rk, det, [r[width:] for r in rows], rows
+
+
+def _prime_field_cases(p, rng):
+    """Square, wide and tall matrices, the zero matrix, rank-deficient and
+    sparse ones, each with three right-hand sides."""
+
+    def entries(nrows, ncols, density=1.0):
+        return [[rng.randrange(p) if rng.random() < density else 0 for _ in range(ncols)]
+                for _ in range(nrows)]
+
+    cases = [entries(0, 0), entries(1, 1), entries(6, 6), entries(12, 12), entries(5, 9),
+             entries(9, 5), [[0] * 7 for _ in range(7)], entries(10, 10, 0.2)]
+    dependent = entries(8, 8)
+    dependent[5] = [(a + 3 * b) % p for a, b in zip(dependent[1], dependent[2])]
+    cases.append(dependent)
+    thin = entries(9, 9)
+    for row in thin:
+        row[4] = (row[0] + row[7]) % p  # a dependent column
+    cases.append(thin)
+    return [(rows, entries(len(rows), 3)) for rows in cases]
+
+
+@pytest.mark.parametrize("p", [2, 3, 67, 10007, 2**31 - 1])
+def test_prime_field_routines_match_textbook_elimination(p):
+    import random
+
+    ctx = PrimeFieldCtx(p)
+    for rows, rhs in _prime_field_cases(p, random.Random(p)):
+        m = ExactMatrix(ctx, rows)
+        augmented = [r + s for r, s in zip(rows, rhs)]
+        rk, det, solution, reduced = _naive_mod_p(augmented, p, nrhs=3)
+        assert rank(m) == rk
+        assert exactfield._eliminate(augmented, m.ncols, p, jordan=True)[0] == rk
+        assert augmented == reduced
+        if not m.is_square():
+            continue
+        assert determinant(m) == (det or 0) % p
+        if solution is None:
+            with pytest.raises(SingularSystemError):
+                exactfield._solve(m, rhs)
+            continue
+        assert exactfield._solve(m, rhs) == solution
+        assert solve_linear(m, [r[0] for r in rhs]) == [r[0] for r in solution]
+        assert invert(m).entries == _naive_mod_p(
+            [r + [int(i == k) for k in range(len(rows))] for i, r in enumerate(rows)],
+            p, nrhs=len(rows))[2]
+
+
+def test_prime_field_slot_bound_edge():
+    """Row e_i + (p-1) e_last for i < 63, then a row of ones: each of the 63
+    pivots adds (p-1)^2 to the last entry of the row of ones, which with
+    p = 2^31 - 1 fills all but a sliver of its slot."""
+    p, n = 2**31 - 1, 64
+    rows = [[int(j == i) + (p - 1) * (j == n - 1) for j in range(n)] for i in range(n - 1)]
+    rows.append([1] * (n - 1) + [p - 1])
+    m = ExactMatrix(PrimeFieldCtx(p), rows)
+    rhs = [[1, i, p - 1] for i in range(n)]
+    rk, det, solution, _ = _naive_mod_p([r + s for r, s in zip(rows, rhs)], p, nrhs=3)
+    assert (rank(m), determinant(m)) == (rk, det) == (n, n - 2)
+    assert exactfield._solve(m, rhs) == solution
+
+
 # -- inertia ----------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Vector systems, set families and their statistics."""
 
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -141,6 +142,20 @@ def test_set_family_rejects_out_of_range():
         SetFamily.from_sets(3, [[4]])
     with pytest.raises(MalformedInputError):
         SetFamily.from_sets(3, [[0]])
+
+
+def test_ground_size_checked_before_masks_are_built():
+    # An element as large as n would make a mask of n bits; the range check
+    # must refuse n before any such mask exists.
+    doc = {"n": 1 << 26, "sets": [[1 << 26]]}
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedInputError, match="ground-set size out of range"):
+            SetFamily.from_json_dict(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # -- constant-vector distance sums -----------------------------------------

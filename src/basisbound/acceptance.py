@@ -140,15 +140,12 @@ def two_distance_certificates():
 
 def neumaier_ratio():
     jp = johnson_pairs(6)
-    a, b = Fraction(jp.value_a), Fraction(jp.value_b)
-    d1sq, d2sq = sorted((2 - 2 * a, 2 - 2 * b))
+    d1sq, d2sq = sorted((2 - 2 * jp.value_a, 2 - 2 * jp.value_b))
     cert = neumaier_check(jp.affine_dim, jp.count, d1sq, d2sq)
     if not (cert.passed and cert.details.get("m") == 2):
         return False, f"johnson: verdict {cert.verdict}, m {cert.details.get('m')}"
     pent = pentagon()
-    pa = pent.field.coerce(pent.value_a)
-    pb = pent.field.coerce(pent.value_b)
-    cert = neumaier_check(pent.n, pent.count, 2 - 2 * pa, 2 - 2 * pb)
+    cert = neumaier_check(pent.n, pent.count, 2 - 2 * pent.value_a, 2 - 2 * pent.value_b)
     if cert.verdict != "not-applicable":
         return False, f"pentagon: verdict {cert.verdict}, expected not-applicable"
     return True, "johnson ratio 1/2 gives m = 2; pentagon below the size threshold"

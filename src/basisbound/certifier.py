@@ -14,7 +14,8 @@ elimination engine (`solve_linear`) runs only on a two-distance Gram whose
 evaluation matrix is not diagonal, and on the interpolation systems of
 `indicator_poly`.  Member functions are evaluated from the data directly:
 the hamming-tight members at a vector are its Hamming distances minus
-lambda, the two-distance members are products of Gram-entry differences.
+lambda, the two-distance members are products of Gram-entry differences,
+one per distinct value in one count of the Gram's entries.
 Both sides of every identity are computed by independent code paths.
 An identity's `left` and `right` are, as a rule, two exact values
 formatted in the certificate's field, and it holds when they are equal
@@ -25,6 +26,7 @@ checks of two-distance sets.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
@@ -54,7 +56,7 @@ FLOAT_TOLERANCE = 1e-9
 
 # The hamming-tight indicators solve one q x q Vandermonde system per
 # symbol, about q^4 residue products: on a 2-core Xeon VM, Python 3.11,
-# q = 64 (2^24 products) takes about 0.4 s and q = 120 about 3.4 s.
+# q = 64 (2^24 products) takes about 0.3 s and q = 120 about 2 s.
 MAX_INTERPOLATION_WORK = 1 << 24
 
 PASS = "pass"
@@ -167,7 +169,7 @@ def indicator_poly(a: int, q: int, p: PrimeFieldCtx) -> list[int]:
         raise HypothesisViolationError(f"need p >= q, got p={p.p}, q={q}", clause="pGeqQ")
     if not 0 <= a < q:
         raise MalformedInputError(f"symbol {a} outside [0, {q - 1}]")
-    vandermonde = ExactMatrix(p, [[t**k for k in range(q)] for t in range(q)])
+    vandermonde = ExactMatrix(p, [[pow(t, k, p.p) for k in range(q)] for t in range(q)])
     coeffs = solve_linear(vandermonde, [int(t != a) for t in range(q)])
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
@@ -280,19 +282,20 @@ def hamming_tight_certificate(system: VectorSystem, p: int, lam: int) -> Certifi
 def two_distance_certificate(gram: GramTwoDistance) -> Certificate:
     """Certificate for a maximal spherical two-distance set.
 
-    Applicable only at the maximal size N = n(n+3)/2.  Counts the nonzero
-    off-diagonal entries of the evaluation matrix
-    (<v_s, v_m> - a)(<v_s, v_m> - b), one product per distinct Gram value;
-    its diagonal is (1-a)(1-b) by the unit diagonal.  When that count is 0
-    the coefficients of the constant 1 are 1/((1-a)(1-b)) each; otherwise
-    the matrix is built and solved, and the coefficients are compared with
-    that value.  The forced relation N(ab + 1/n) = (1-a)(1-b) is verified
-    exactly.  When floating coordinates are attached, the per-axis
-    coordinate sums and the total squared norm are checked to relative 1e-9.
+    Applicable only at the maximal size N = n(n+3)/2.  One count of the
+    Gram entries above the diagonal is checked against the declared a, b;
+    one product (g-a)(g-b) per counted value g, twice by symmetry, gives
+    the nonzero off-diagonal entries of the evaluation matrix
+    (<v_s, v_m> - a)(<v_s, v_m> - b), whose diagonal is (1-a)(1-b).  When
+    none is nonzero the coefficients of the constant 1 are 1/((1-a)(1-b))
+    each; otherwise the matrix is built and solved, and the coefficients
+    are compared with that value.  The forced relation N(ab + 1/n) =
+    (1-a)(1-b) is verified exactly.  When floating coordinates are
+    attached, the per-axis coordinate sums and the total squared norm are
+    checked to relative 1e-9.
     """
     field = gram.field
-    a = field.coerce(gram.value_a)
-    b = field.coerce(gram.value_b)
+    a, b = gram.value_a, gram.value_b
     if a == 1 or b == 1:
         raise HypothesisViolationError("inner products equal to 1 are not allowed", clause="valuesNotOne")
     n, count = gram.n, gram.count
@@ -308,17 +311,17 @@ def two_distance_certificate(gram: GramTwoDistance) -> Certificate:
             "two-distance", hypotheses, [], [], details, not_applicable=True
         )
 
-    identities = []
-    off_values = gram.off_diagonal_values()
-    two_valued = len(off_values) <= 2 and all(x in (a, b) for x in off_values)
-    identities.append(
+    entries = gram.gram.entries
+    # Each value above the diagonal with its count, in first-occurrence order.
+    above = Counter(g for s, r in enumerate(entries) for g in r[s + 1:])
+    identities = [
         Identity(
             "off_diagonal_values_match_declared",
-            _format_list(field, off_values),
+            _format_list(field, list(above)),
             _format_list(field, [a, b]),
-            two_valued,
+            above.keys() <= {a, b},
         )
-    )
+    ]
 
     is_psd, rk = inertia_psd_rank(gram.gram)
     details["gram_rank"] = rk
@@ -326,15 +329,12 @@ def two_distance_certificate(gram: GramTwoDistance) -> Certificate:
     hypotheses.append(("gramRankAtMostAmbient", rk <= n))
 
     target = (1 - a) * (1 - b)
-    entries = gram.gram.entries
-    product = {g: (g - a) * (g - b) for g in set().union(*entries)}
-    nonzero = {g for g, v in product.items() if v != 0}
-    off_nonzero = sum(
-        1 for s, r in enumerate(entries) for m, g in enumerate(r) if m != s and g in nonzero
-    )
+    # One evaluation entry per distinct Gram value; every diagonal entry is 1.
+    one = entries[0][0]
+    product = {g: (g - a) * (g - b) for g in (one, *above)}
+    off_nonzero = 2 * sum(k for g, k in above.items() if product[g] != 0)
     identities.append(_equal("evaluation_matrix_off_diagonal_zero", QQ, off_nonzero, 0))
-    diag_values = list(dict.fromkeys(product[r[s]] for s, r in enumerate(entries)))
-    identities.append(_equal("evaluation_matrix_diagonal_value", field, diag_values, [target]))
+    identities.append(_equal("evaluation_matrix_diagonal_value", field, [product[one]], [target]))
 
     # The unit diagonal makes every diagonal entry (1-a)(1-b), nonzero as
     # a, b != 1; with no off-diagonal entry left, alpha = 1/target.

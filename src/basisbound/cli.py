@@ -55,7 +55,7 @@ from .constructions import (
     schlafli27,
 )
 from .errors import HypothesisViolationError, MalformedInputError
-from .exactfield import QQ, ExactMatrix, PrimeFieldCtx, QuadExtField, scalar_field
+from .exactfield import QQ, ExactMatrix, PrimeFieldCtx, QuadExtField
 from .families import SetFamily, VectorSystem, json_int
 from .search import (
     PRED_DIST_CONST,
@@ -122,11 +122,6 @@ CONSTRUCTIONS = {
 }
 
 
-def _neumaier(n, count, d1sq, d2sq):
-    field = scalar_field([d1sq, d2sq])
-    return neumaier_check(n, count, field.parse(d1sq), field.parse(d2sq))
-
-
 # Certify runners return a Certificate.  They look the certifier, the loader
 # and the from_json_dict classmethod up by name on each call, so that the
 # benchmark's tracing hooks (perfbench/tracing.py), which replace those
@@ -139,7 +134,8 @@ CERTIFICATES = {
                           VectorSystem.from_json_dict(vectors), p, lam)),
     "two-distance": ("maximal spherical two-distance set", ("gram",),
                      lambda gram: two_distance_certificate(GramTwoDistance.from_json_dict(gram))),
-    "neumaier": ("squared-distance ratio integrality", ("n", "count", "d1sq", "d2sq"), _neumaier),
+    "neumaier": ("squared-distance ratio integrality", ("n", "count", "d1sq", "d2sq"),
+                 lambda n, count, d1sq, d2sq: neumaier_check(n, count, d1sq, d2sq)),
     "mod-design": ("modular design congruences", ("family", "p"),
                    lambda family, p: mod_design_certificate(SetFamily.from_json_dict(family), p)),
     "ryser": ("constant-intersection degree dichotomy", ("family", "lam"),

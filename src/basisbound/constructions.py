@@ -4,9 +4,9 @@ lambda-designs, and spherical two-distance sets (pentagon, the 27-line
 Schlaefli set, Johnson pair sets).
 
 Every constructor re-verifies its own postconditions (intersection
-constancy, distance constancy, positive semidefiniteness, rank) and aborts
-with InternalInconsistencyError on failure, so downstream certificates can
-trust the data.
+constancy, distance constancy; for a Gram, positive semidefiniteness of the
+stated rank) and aborts with InternalInconsistencyError on failure, so
+downstream certificates can trust the data.
 """
 
 from __future__ import annotations
@@ -67,41 +67,21 @@ class GramTwoDistance:
                 raise MalformedInputError(f"diagonal entry {i} differs from 1")
         if self.coords is not None and len(self.coords) != self.count:
             raise MalformedInputError("coordinate count does not match point count")
+        # Held in the Gram's field from here on: readers use them as they are.
+        self.value_a = g.field.coerce(self.value_a)
+        self.value_b = g.field.coerce(self.value_b)
 
     @property
     def field(self):
         return self.gram.field
-
-    def off_diagonal_values(self):
-        """Distinct off-diagonal entries, in first-occurrence order."""
-        return list(dict.fromkeys(x for i, r in enumerate(self.gram.entries) for x in r[i + 1:]))
-
-    def self_check(self):
-        """Full two-distance postcondition; raises on violation."""
-        field = self.field
-        a = field.coerce(self.value_a)
-        b = field.coerce(self.value_b)
-        if a == b or a == 1 or b == 1:
-            raise InternalInconsistencyError("inner-product values must differ from 1 and each other")
-        for x in self.off_diagonal_values():
-            if x not in (a, b):
-                raise InternalInconsistencyError(
-                    f"off-diagonal value {field.format(x)} outside the declared pair"
-                )
-        is_psd, rk = inertia_psd_rank(self.gram)
-        if not is_psd:
-            raise InternalInconsistencyError("gram matrix is not positive semidefinite")
-        if rk > self.n:
-            raise InternalInconsistencyError(f"gram rank {rk} exceeds ambient dimension {self.n}")
-        return rk
 
     def to_json_dict(self):
         field = self.field
         doc = {
             "n": self.n,
             "N": self.count,
-            "a": field.format(field.coerce(self.value_a)),
-            "b": field.format(field.coerce(self.value_b)),
+            "a": field.format(self.value_a),
+            "b": field.format(self.value_b),
             "gram": [[field.format(x) for x in row] for row in self.gram.entries],
         }
         if self.coords is not None:
@@ -117,6 +97,8 @@ class GramTwoDistance:
             count = json_int(doc, "N")
             scalars = [doc["a"], doc["b"]]
             grid = doc["gram"]
+            coords = doc.get("coords")
+            affine_dim = doc.get("affine_dim")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedInputError(f"bad gram document: {exc}") from exc
         if not (isinstance(grid, list) and all(isinstance(row, list) for row in grid)):
@@ -128,23 +110,31 @@ class GramTwoDistance:
         field = scalar_field(literals)
         value = {s: field.parse(s) for s in literals}
         gram = ExactMatrix(field, [[value[s] for s in row] for row in grid])
-        coords = doc.get("coords")
-        if coords is not None:
-            try:
-                coords = tuple(tuple(float(x) for x in c) for c in coords)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise MalformedInputError(f"bad coordinates: {exc}") from exc
-            if any(len(c) < n for c in coords):
-                raise MalformedInputError(f"each coordinate row needs {n} entries")
         return cls(
             n=n,
             count=count,
             value_a=value[scalars[0]],
             value_b=value[scalars[1]],
             gram=gram,
-            coords=coords,
-            affine_dim=doc.get("affine_dim"),
+            coords=None if coords is None else _coordinate_rows(coords, n),
+            affine_dim=None if affine_dim is None else json_int(doc, "affine_dim"),
         )
+
+
+def _coordinate_rows(coords, n):
+    """`coords` as float rows, each of exactly n finite JSON numbers (a bool
+    or a string is not a number)."""
+    try:
+        if isinstance(coords, list) and all(
+            isinstance(c, list)
+            and len(c) == n
+            and all(type(x) in (int, float) and math.isfinite(x) for x in c)
+            for c in coords
+        ):
+            return tuple(tuple(map(float, c)) for c in coords)
+    except OverflowError:  # an integer beyond float range
+        pass
+    raise MalformedInputError(f"coords must be rows of {n} finite JSON numbers")
 
 
 def projective_plane(r: int) -> SetFamily:
@@ -275,17 +265,18 @@ def near_pencil(n: int) -> SetFamily:
 
 def _two_distance(n, a, b, points, takes_a, rank, coords=None, affine_dim=None):
     """Unit-diagonal Gram of `points` in dimension n: inner product a between
-    distinct points x, y with takes_a(x, y), b between the others.  The
-    two-distance postcondition is checked and the rank must be `rank`."""
+    distinct points x, y with takes_a(x, y), b between the others.  Its
+    entries are a, b and 1 by construction; the one postcondition checked
+    is that the Gram is positive semidefinite of rank `rank`."""
     field = scalar_field([a, b])
     rows = [
         [field.one if i == j else a if takes_a(x, y) else b for j, y in enumerate(points)]
         for i, x in enumerate(points)
     ]
     gram = GramTwoDistance(n, len(rows), a, b, ExactMatrix(field, rows), coords, affine_dim)
-    rk = gram.self_check()
-    if rk != rank:
-        raise InternalInconsistencyError(f"gram rank {rk} != {rank}")
+    psd_rank = inertia_psd_rank(gram.gram)
+    if psd_rank != (True, rank):
+        raise InternalInconsistencyError(f"gram (PSD, rank) is {psd_rank}, not (True, {rank})")
     return gram
 
 

@@ -18,11 +18,16 @@ from .errors import (
 MAX_GROUND = 1024
 
 
+def is_json_int(value) -> bool:
+    """A JSON integer: an int that is not a bool (Python's bool is an int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def json_int(doc, key) -> int:
     """doc[key], which must be a JSON integer: a float, a bool or a string is
     malformed, not truncated or parsed."""
     value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_json_int(value):
         raise MalformedInputError(f"{key!r} must be a JSON integer, not {type(value).__name__}")
     return value
 
@@ -44,7 +49,7 @@ class VectorSystem:
         for v in self.vectors:
             if len(v) != self.n:
                 raise MalformedInputError(f"vector length {len(v)} != n = {self.n}")
-            if any(not (isinstance(x, int) and 0 <= x < self.q) for x in v):
+            if any(not (is_json_int(x) and 0 <= x < self.q) for x in v):
                 raise MalformedInputError(f"entry not an integer in [0, {self.q - 1}] in {v}")
             if v in seen:
                 raise MalformedInputError(f"duplicate vector {v}")
@@ -109,8 +114,8 @@ class SetFamily:
         for s in sets:
             m = 0
             for e in s:
-                if not 1 <= e <= n:
-                    raise MalformedInputError(f"element {e} outside [1, {n}]")
+                if not (is_json_int(e) and 1 <= e <= n):
+                    raise MalformedInputError(f"element {e!r} is not an integer in [1, {n}]")
                 m |= 1 << (e - 1)
             masks.append(m)
         return cls(n, tuple(masks))

@@ -60,8 +60,7 @@ def test_independence_pentagon_evaluation_matrix():
     # diagonal (1-a)(1-b) I, hence nonsingular
     gram = pentagon()
     field = gram.field
-    a = field.coerce(gram.value_a)
-    b = field.coerce(gram.value_b)
+    a, b = gram.value_a, gram.value_b
     rows = [
         [(g - a) * (g - b) for g in gram.gram.entries[s]]
         for s in range(gram.count)
@@ -299,7 +298,7 @@ def test_two_distance_alpha_matches_elimination(gram):
     one that is not, equal the solution of E alpha = 1 by the elimination
     engine, E = (<v_s, v_m> - a)(<v_s, v_m> - b) built entry by entry."""
     field = gram.field
-    a, b = field.coerce(gram.value_a), field.coerce(gram.value_b)
+    a, b = gram.value_a, gram.value_b
     evaluation = ExactMatrix(
         field,
         [[(g - a) * (g - b) for g in row] for row in gram.gram.entries],
@@ -352,8 +351,7 @@ def test_neumaier_inspection_case():
 
 def test_neumaier_pentagon_not_applicable():
     gram = pentagon()
-    a = gram.field.coerce(gram.value_a)
-    b = gram.field.coerce(gram.value_b)
+    a, b = gram.value_a, gram.value_b
     cert = neumaier_check(2, 5, 2 - 2 * a, 2 - 2 * b)
     assert cert.verdict == "not-applicable"
 
@@ -607,6 +605,18 @@ PAYLOAD_CASES = {
     "two-distance-singular": (
         lambda: two_distance_certificate(_singular_gram()),
         "545941fed00c9ffb525f39995b2c6def5ba8c9d93d684642f3d12a1e26c14f0e",
+    ),
+    "two-distance-one-entry-schlafli": (
+        lambda: two_distance_certificate(_single_mutated(schlafli27(), "1/3")),
+        "cf1a9be7de7bc3fcbef97a75ef20903997fb6a5b319b0e29cce06ad2d3267db9",
+    ),
+    "two-distance-one-entry-pentagon": (
+        lambda: two_distance_certificate(_single_mutated(pentagon(), "1/3+1/2*sqrt(5)")),
+        "bc36c64b87b714a11c111fe274aa93cbe1afee1ad38509fbbdcf1338d2aecca1",
+    ),
+    "two-distance-johnson-6": (
+        lambda: two_distance_certificate(johnson_pairs(6)),
+        "741f27d961ef3c944414c66af2b450c92e4dc7e4c19f1f5293b71d58eedb42bf",
     ),
     "neumaier-pass": (
         lambda: neumaier_check(5, 12, Fraction(3), Fraction(4)),

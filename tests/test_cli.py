@@ -7,6 +7,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import operator
 import os
 import shlex
@@ -24,13 +25,20 @@ from hypothesis import strategies as st
 import basisbound
 from basisbound import cli, errors
 from basisbound.cli import EXIT_CODES, build_parser, main
-from basisbound.constructions import fano_plane, hadamard_plus_full, pentagon
+from basisbound.constructions import fano_plane, hadamard_plus_full, johnson_pairs, pentagon
 
 
 # A decimal literal longer than the interpreter's int-to-str limit (4,300).
 LONG = "1" * 4401
 
 FANO_SETS = fano_plane().to_json_dict()["sets"]
+
+
+def _pentagon_coords(edit):
+    """The pentagon's Gram document with `edit` applied to each coordinate row."""
+    doc = pentagon().to_json_dict()
+    doc["coords"] = [edit(list(c)) for c in doc["coords"]]
+    return json.dumps(doc)
 
 
 def run_cli(capsys, *argv):
@@ -382,6 +390,16 @@ def test_certify_independence_entries_not_rows_exit_3(tmp_path, capsys, entries)
         (["two-distance", "--gram"], json.dumps({**pentagon().to_json_dict(), "N": 5.2})),
         (["ryser", "--lambda", "1", "--family"], '{"n": true, "sets": [[1]]}'),
         (["ryser", "--lambda", "1", "--family"], json.dumps({"n": "7", "sets": FANO_SETS})),
+        # Set elements and vector entries are JSON integers too: true is not 1.
+        (["mod-design", "--p", "5", "--family"], '{"n": 3, "sets": [[true, 2], [2, 3], [1, 3]]}'),
+        (["hamming-tight", "--p", "3", "--lambda", "1", "--vectors"],
+         '{"n": 2, "q": 2, "vectors": [[false, false], [true, false], [false, true]]}'),
+        # Coordinate rows hold exactly n finite JSON numbers; affine_dim is an integer.
+        (["two-distance", "--gram"], _pentagon_coords(lambda c: c + [3.0])),
+        (["two-distance", "--gram"], _pentagon_coords(lambda c: [math.nan] + c[1:])),
+        (["two-distance", "--gram"], _pentagon_coords(lambda c: [True] + c[1:])),
+        (["two-distance", "--gram"],
+         json.dumps({**johnson_pairs(4).to_json_dict(), "affine_dim": "x"})),
     ],
     ids=["matrix-prime-without-p", "matrix-radicand-null", "gram-a-number", "gram-not-rows",
          "gram-coords-not-rows", "gram-coords-short-row", "family-n-overflow",
@@ -389,7 +407,8 @@ def test_certify_independence_entries_not_rows_exit_3(tmp_path, capsys, entries)
          "matrix-long-residue", "matrix-long-surd", "matrix-p-text", "matrix-superscript-residue",
          "gram-long-a", "gram-n-text", "gram-coords-text", "family-n-text", "vectors-n-text",
          "family-n-float", "matrix-p-float", "vectors-q-float", "gram-N-float", "family-n-bool",
-         "family-n-digit-string"],
+         "family-n-digit-string", "family-element-bool", "vectors-entry-bool",
+         "gram-coords-long-row", "gram-coords-nan", "gram-coords-bool", "gram-affine-dim-text"],
 )
 def test_certify_malformed_document_exit_3(tmp_path, capsys, argv, document):
     path = tmp_path / "doc.json"

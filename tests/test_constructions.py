@@ -9,6 +9,7 @@ from basisbound.constructions import (
     MAX_HADAMARD_V,
     MAX_JOHNSON_M,
     GramTwoDistance,
+    _two_distance,
     fano_plane,
     hadamard_design,
     hadamard_plus_full,
@@ -21,10 +22,18 @@ from basisbound.constructions import (
 )
 from basisbound.errors import (
     HypothesisViolationError,
+    InternalInconsistencyError,
     MalformedInputError,
     UnsupportedOrderError,
 )
-from basisbound.exactfield import inertia_psd_rank, is_prime, rank
+from basisbound.exactfield import (
+    ExactMatrix,
+    QuadExt,
+    QuadExtField,
+    inertia_psd_rank,
+    is_prime,
+    rank,
+)
 from basisbound.families import (
     SetFamily,
     degrees,
@@ -153,8 +162,7 @@ def test_near_pencil_shape():
 def test_pentagon_exact_values():
     gram = pentagon()
     field = gram.field
-    a = field.coerce(gram.value_a)
-    b = field.coerce(gram.value_b)
+    a, b = gram.value_a, gram.value_b
     assert field.format(a) == "-1/4+1/4*sqrt(5)"
     assert abs(float(a) - math.cos(2 * math.pi / 5)) < 1e-12
     assert abs(float(b) - math.cos(4 * math.pi / 5)) < 1e-12
@@ -188,6 +196,36 @@ def test_johnson_pairs_parameters():
     assert gram.value_a == Fraction(1, 2) and gram.value_b == 0
     assert inertia_psd_rank(gram.gram) == (True, 6)
     assert johnson_pairs(4).count == 6
+
+
+def _pentagon_neighbours(i, j):
+    return (i - j) % 5 in (1, 4)
+
+
+def test_two_distance_builder_checks_psd_rank():
+    """The builder's one postcondition: a stated rank that the Gram does not
+    have, and values that make the Gram indefinite, are both refused."""
+    a, b = pentagon().value_a, pentagon().value_b
+    assert _two_distance(2, a, b, range(5), _pentagon_neighbours, 2).count == 5
+    with pytest.raises(InternalInconsistencyError, match=r"is \(True, 2\), not \(True, 3\)"):
+        _two_distance(2, a, b, range(5), _pentagon_neighbours, 3)
+    # With a = -1/2 and b = -3/4 every row sums to 1 + 2a + 2b = -3/2, so the
+    # all-ones vector has a negative eigenvalue; the Gram has full rank 5.
+    a, b = Fraction(-1, 2), Fraction(-3, 4)
+    with pytest.raises(InternalInconsistencyError, match=r"is \(False, 5\)"):
+        _two_distance(2, a, b, range(5), _pentagon_neighbours, 5)
+
+
+def test_gram_values_held_in_the_gram_field():
+    """a and b are coerced into the Gram's field once, at construction."""
+    pent = pentagon()
+    assert all(isinstance(x, QuadExt) for x in (pent.value_a, pent.value_b))
+    john = johnson_pairs(5)
+    assert all(type(x) is Fraction for x in (john.value_a, john.value_b))
+    field = QuadExtField(5)
+    gram = GramTwoDistance(1, 2, Fraction(-1, 2), 0, ExactMatrix(field, [[1, 0], [0, 1]]))
+    assert gram.value_a == QuadExt(Fraction(-1, 2), Fraction(0), 5)
+    assert all(isinstance(x, QuadExt) for x in (gram.value_a, gram.value_b))
 
 
 def test_johnson_pairs_coordinates_match_gram():

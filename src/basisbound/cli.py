@@ -16,6 +16,15 @@ inputs its report digests.  A FILE_ARGS name is a JSON file: the runner
 gets its document and the digest its bytes.  A TEXT_ARGS name is a scalar
 literal, every other name an int.  Only `construct lambda-design` declares
 its own flags.  GROUPS turns each table's runner results into reports.
+
+Each `main` call builds the argparse tree of the one command its argv
+names: the root and every command's parser, with the leaves and flags of
+that command alone (`build_parser(command)`).  An argv that names no
+command gets the full tree.  No parser is kept from one call to the next:
+the `basisbound` script parses once per process, so a kept parser would
+save it nothing.  In the benchmark's worker, which calls `main` many times,
+it would only add rounds, and the worker keeps data for every round, so
+its peak RSS would rise (ROADMAP item 10).
 """
 
 from __future__ import annotations
@@ -27,7 +36,6 @@ import os
 import sys
 import time
 
-from . import acceptance
 from .bounds import (
     check_mod_distance_hypotheses,
     delsarte_bound,
@@ -198,19 +206,25 @@ class Parser(argparse.ArgumentParser):
         raise HelpRequested(self.format_help())
 
 
-def build_parser() -> Parser:
+def build_parser(command=None) -> Parser:
+    """The root parser and one parser per command, each with its help, so
+    that the root's help, usage and `invalid choice` messages are the same
+    whatever `command` is.  Leaves and flags go under `command` alone, or
+    under every command when it is None."""
     # --help shows the docstring's first two paragraphs, for users; the
     # rest is for readers of this module.
     parser = Parser(prog="basisbound", description="\n\n".join(__doc__.split("\n\n")[:2]))
     # prog= is the prefix argparse would format from the usage line (no
     # positionals precede a subcommand); passing it skips that formatting.
     sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
-    for command, (help_text, table, _) in GROUPS.items():
-        group = sub.add_parser(command, help=help_text)
-        leaves = group.add_subparsers(dest=f"{command}_kind", required=True, prog=group.prog)
-        for name, (leaf_help, arg_names, _) in table.items():
-            p = leaves.add_parser(name, help=leaf_help)
-            if name == "lambda-design":
+    for name, (help_text, table, _) in GROUPS.items():
+        group = sub.add_parser(name, help=help_text)
+        if command not in (None, name):
+            continue
+        leaves = group.add_subparsers(dest=f"{name}_kind", required=True, prog=group.prog)
+        for kind, (leaf_help, arg_names, _) in table.items():
+            p = leaves.add_parser(kind, help=leaf_help)
+            if kind == "lambda-design":
                 base = p.add_mutually_exclusive_group(required=True)
                 base.add_argument("--design", help="symmetric-design family JSON file")
                 base.add_argument("--pg", type=int, help="build from the order-r projective plane")
@@ -220,22 +234,24 @@ def build_parser() -> Parser:
                     flag = "--lambda" if arg == "lam" else "--" + arg
                     typed = None if arg in FILE_ARGS or arg in TEXT_ARGS else int
                     p.add_argument(flag, dest=arg, required=True, type=typed)
-            if command in OUT_HELP:
-                p.add_argument("--out", help=OUT_HELP[command])
+            if name in OUT_HELP:
+                p.add_argument("--out", help=OUT_HELP[name])
 
     p = sub.add_parser("search", help="exhaustive maximum-family search")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--pred", required=True, choices=list(PREDICATES))
-    p.add_argument("--lambda", dest="lam", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--dist-list", help="comma-separated allowed distances for dist-set")
-    p.add_argument("--target", type=int, help="stop early once this size is reached")
-    p.add_argument("--out")
+    if command in (None, "search"):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--q", type=int, required=True)
+        p.add_argument("--pred", required=True, choices=list(PREDICATES))
+        p.add_argument("--lambda", dest="lam", type=int)
+        p.add_argument("--p", type=int)
+        p.add_argument("--dist-list", help="comma-separated allowed distances for dist-set")
+        p.add_argument("--target", type=int, help="stop early once this size is reached")
+        p.add_argument("--out")
 
     p = sub.add_parser("verify", help="run the acceptance suite")
-    p.add_argument("--filter", help="run only criteria whose name contains this substring")
-    p.add_argument("--out")
+    if command in (None, "verify"):
+        p.add_argument("--filter", help="run only criteria whose name contains this substring")
+        p.add_argument("--out")
 
     return parser
 
@@ -321,6 +337,9 @@ def _run_search(args):
 
 
 def _run_verify(args):
+    # Imported here, as only verify runs the suite.
+    from . import acceptance
+
     def run():
         rows = acceptance.run_suite(
             filter_substring=args.filter,
@@ -350,7 +369,8 @@ def _error_payload(exc) -> dict:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    command = argv[0] if argv and (argv[0] in GROUPS or argv[0] in RUNNERS) else None
+    parser = build_parser(command)
     started = time.monotonic()
     args = error_message = None
     inputs = argv

@@ -67,6 +67,8 @@ class GramTwoDistance:
                 raise MalformedInputError(f"diagonal entry {i} differs from 1")
         if self.coords is not None and len(self.coords) != self.count:
             raise MalformedInputError("coordinate count does not match point count")
+        if self.affine_dim is not None and not 0 <= self.affine_dim <= self.n:
+            raise MalformedInputError(f"affine_dim {self.affine_dim} is outside [0, {self.n}]")
         # Held in the Gram's field from here on: readers use them as they are.
         self.value_a = g.field.coerce(self.value_a)
         self.value_b = g.field.coerce(self.value_b)

@@ -400,6 +400,11 @@ def test_certify_independence_entries_not_rows_exit_3(tmp_path, capsys, entries)
         (["two-distance", "--gram"], _pentagon_coords(lambda c: [True] + c[1:])),
         (["two-distance", "--gram"],
          json.dumps({**johnson_pairs(4).to_json_dict(), "affine_dim": "x"})),
+        # The affine hull of points in R^n has dimension 0 to n.
+        (["two-distance", "--gram"],
+         json.dumps({**johnson_pairs(4).to_json_dict(), "affine_dim": -5})),
+        (["two-distance", "--gram"],
+         json.dumps({**johnson_pairs(4).to_json_dict(), "affine_dim": 99})),
     ],
     ids=["matrix-prime-without-p", "matrix-radicand-null", "gram-a-number", "gram-not-rows",
          "gram-coords-not-rows", "gram-coords-short-row", "family-n-overflow",
@@ -408,7 +413,8 @@ def test_certify_independence_entries_not_rows_exit_3(tmp_path, capsys, entries)
          "gram-long-a", "gram-n-text", "gram-coords-text", "family-n-text", "vectors-n-text",
          "family-n-float", "matrix-p-float", "vectors-q-float", "gram-N-float", "family-n-bool",
          "family-n-digit-string", "family-element-bool", "vectors-entry-bool",
-         "gram-coords-long-row", "gram-coords-nan", "gram-coords-bool", "gram-affine-dim-text"],
+         "gram-coords-long-row", "gram-coords-nan", "gram-coords-bool", "gram-affine-dim-text",
+         "gram-affine-dim-negative", "gram-affine-dim-above-n"],
 )
 def test_certify_malformed_document_exit_3(tmp_path, capsys, argv, document):
     path = tmp_path / "doc.json"
@@ -855,4 +861,69 @@ def test_readme_command_lines_parse():
     lines = [line for line in block.splitlines() if line.startswith("basisbound ")]
     assert lines
     for line in lines:
-        build_parser().parse_args(shlex.split(line)[1:])
+        argv = shlex.split(line)[1:]
+        assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
+
+
+# -- the parser of one command's branch ------------------------------------------
+
+
+def _helps(parser, path=()):
+    """path -> format_help() of `parser` and of every parser under it."""
+    helps = {path: parser.format_help()}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                helps.update(_helps(child, path + (name,)))
+    return helps
+
+
+SEARCH_ARGV = ["search", "--n", "3", "--q", "2", "--pred", "dist-const", "--lambda", "2"]
+EDGE_ARGVS = [
+    [], ["--help"], ["-h"], ["bogus"], ["--", *SEARCH_ARGV], ["search", "certify"],
+    *([command, "--help"] for command in [*cli.GROUPS, *cli.RUNNERS]),
+    ["certify", "ryser", "--help"], ["construct", "lambda-design", "--help"],
+    ["certify", "bogus"], ["bound"], ["bound", "delsarte", "--n", "3"], ["search", "--n", "3"],
+    [*SEARCH_ARGV[:6], "bogus"], ["construct", "pg", "--r", "2", "--bogus", "1"],
+    ["verify", "--bogus"], ["construct", "fano"], SEARCH_ARGV,
+]
+
+
+def _reports(argvs):
+    """(exit code, report without wall_time_s, stderr) of main on each argv."""
+    runs = []
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        report = json.loads(out.getvalue())
+        del report["wall_time_s"]
+        runs.append((code, report, err.getvalue()))
+    return runs
+
+
+def test_branch_parser_matches_the_full_tree(monkeypatch):
+    """The full tree is the oracle of each command's branch: the root's
+    help and every help under the command are the full tree's, and main,
+    which builds the branch its argv names, reports on edge argvs what it
+    reports with the full tree."""
+    full = _helps(build_parser())
+    for command in [*cli.GROUPS, *cli.RUNNERS]:
+        def own(helps):
+            return {path: text for path, text in helps.items() if path[:1] in ((), (command,))}
+
+        assert own(_helps(build_parser(command))) == own(full), command
+    branch_reports = _reports(EDGE_ARGVS)
+    full_tree = build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_tree())
+    assert branch_reports == _reports(EDGE_ARGVS)
+
+
+def test_importing_the_cli_leaves_the_acceptance_suite_out():
+    """Only verify runs the acceptance suite, so importing the CLI does not
+    import it."""
+    src = Path(basisbound.__file__).resolve().parents[1]
+    code = "import sys, basisbound.cli; print('basisbound.acceptance' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr

@@ -45,15 +45,13 @@ from .exactfield import (
     solve_linear,
 )
 from .families import (
-    DistanceProfile,
-    IntersectionProfile,
     SetFamily,
     VectorSystem,
     constant_vector_distance_sum,
     degrees,
     distance_set,
     hamming_distance,
-    intersection_profile,
+    intersection_set,
 )
 from .search import SearchProblem, SearchResult, search_max
 

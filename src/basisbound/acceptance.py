@@ -37,9 +37,9 @@ def hadamard_counterexample():
         n = 4 * v - 1
         if len(family) != 4 * v or family.n != n:
             return False, f"v={v}: size {len(family)} != 4v"
-        profile = distance_set(family.to_vector_system())
-        if not (profile.is_constant and profile.common_value == 2 * v):
-            return False, f"v={v}: distances {profile.distances} not constant 2v"
+        distances = distance_set(family.to_vector_system())
+        if distances != (2 * v,):
+            return False, f"v={v}: distances {distances} not constant 2v"
     result = search_max(SearchProblem(3, 2, PRED_DIST_CONST, lam=2))
     if result.max_size != 4:
         return False, f"search(n=3, q=2, d=2) gave {result.max_size}, expected 4"

@@ -20,7 +20,12 @@ Both sides of every identity are computed by independent code paths.
 An identity's `left` and `right` are, as a rule, two exact values
 formatted in the certificate's field, and it holds when they are equal
 (`_equal`); floating point appears only in the optional coordinate-level
-checks of two-distance sets.
+checks of two-distance sets.  Three identities cannot fail, as both sides
+come from one value: two-distance's `evaluation_matrix_diagonal_value`
+(GramTwoDistance refuses a diagonal entry other than 1, so both sides are
+(1-a)(1-b)) and hamming-tight's `evaluation_matrix_nonsingular` and
+`coefficients_equal_minus_inverse_lambda`.  They restate what the
+hypotheses force and are kept so that payloads do not change.
 """
 
 from __future__ import annotations
@@ -128,8 +133,8 @@ def _equal(name, field, left, right) -> Identity:
     return Identity(name, fmt(left), fmt(right), left == right)
 
 
-def _float_close(x: float, y: float, tol: float = FLOAT_TOLERANCE) -> bool:
-    return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
+def _float_close(x: float, y: float) -> bool:
+    return abs(x - y) <= FLOAT_TOLERANCE * max(1.0, abs(x), abs(y))
 
 
 # ---------------------------------------------------------------------------

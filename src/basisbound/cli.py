@@ -370,8 +370,8 @@ def _error_payload(exc) -> dict:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     command = argv[0] if argv and (argv[0] in GROUPS or argv[0] in RUNNERS) else None
-    parser = build_parser(command)
     started = time.monotonic()
+    parser = build_parser(command)
     args = error_message = None
     inputs = argv
     try:

@@ -28,10 +28,10 @@ from .exactfield import (
     is_prime,
     scalar_field,
 )
-from .families import SetFamily, distance_set, intersection_profile, json_int
+from .families import SetFamily, intersection_set, json_int
 
 MAX_PLANE_ORDER = 31
-MAX_HADAMARD_V = 128  # 4v-1 <= 511 points: the plus-full check takes seconds
+MAX_HADAMARD_V = 128  # 4v-1 <= 511 points: v = 125 builds and writes in about 0.5 s
 MAX_JOHNSON_M = 24  # m(m-1)/2 <= 276 vectors: the Gram check takes under a second
 
 
@@ -174,8 +174,7 @@ def _check_design(family, n_expected, size_expected, lam_expected):
         raise InternalInconsistencyError("design has wrong point or block count")
     if any(s != size_expected for s in family.sizes()):
         raise InternalInconsistencyError("design blocks have wrong size")
-    profile = intersection_profile(family)
-    if profile.common_lambda != lam_expected:
+    if intersection_set(family) != (lam_expected,):
         raise InternalInconsistencyError("design intersection profile not constant")
 
 
@@ -205,17 +204,17 @@ def hadamard_design(v: int) -> SetFamily:
 def hadamard_plus_full(v: int) -> SetFamily:
     """Hadamard design together with the full ground set: 4v sets on
     [4v-1] whose characteristic vectors are pairwise at Hamming distance
-    exactly 2v, exceeding the n-set bound for constant-distance families."""
+    exactly 2v, exceeding the n-set bound for constant-distance families.
+    The distance of two sets is the number of set bits of their masks' xor."""
     design = hadamard_design(v)
     m = design.n
     masks = design.masks + ((1 << m) - 1,)
-    family = SetFamily(m, masks)
-    profile = distance_set(family.to_vector_system())
-    if not (profile.is_constant and profile.common_value == 2 * v):
+    distances = {(a ^ b).bit_count() for i, a in enumerate(masks) for b in masks[i + 1:]}
+    if distances != {2 * v}:
         raise InternalInconsistencyError(
-            f"expected constant distance {2 * v}, got {profile.distances}"
+            f"expected constant distance {2 * v}, got {tuple(sorted(distances))}"
         )
-    return family
+    return SetFamily(m, masks)
 
 
 def lambda_design_type1(design: SetFamily, block_index: int = 0) -> SetFamily:
@@ -237,10 +236,10 @@ def lambda_design_type1(design: SetFamily, block_index: int = 0) -> SetFamily:
     k = sizes[0]
     if len(design) == 1:
         return design
-    profile = intersection_profile(design)
-    if profile.common_lambda is None:
+    intersections = intersection_set(design)
+    if len(intersections) != 1:
         raise HypothesisViolationError("design intersections are not constant")
-    lam_prime = profile.common_lambda
+    lam_prime = intersections[0]
     base = design.masks[block_index]
     masks = tuple(m if i == block_index else m ^ base for i, m in enumerate(design.masks))
     family = SetFamily(n, masks)
@@ -249,8 +248,7 @@ def lambda_design_type1(design: SetFamily, block_index: int = 0) -> SetFamily:
     expected_sizes = {k, 2 * (k - lam_prime)}
     if set(family.sizes()) - expected_sizes:
         raise InternalInconsistencyError("lambda-design block sizes unexpected")
-    out_profile = intersection_profile(family)
-    if out_profile.common_lambda != lam:
+    if intersection_set(family) != (lam,):
         raise InternalInconsistencyError("lambda-design intersections not constant")
     return family
 

@@ -14,15 +14,15 @@ lives in Q or in Q(sqrt(d)).
 rank, determinant, solve_linear and invert share one Gauss-Jordan engine,
 `_eliminate`, with two paths.  Over Q and Q(sqrt(d)) it runs fraction-free
 (Bareiss 1968) on integers, or on pairs (a, b) = a + b sqrt(d) of the ring
-Z[sqrt d], after each row is cleared of denominators by their lcm; over Q
-solve_linear re-substitutes on integers too.  Over F_p it runs on packed
-residue rows: each row is one integer of s-bit slots, one residue per slot,
-so that a row update is one big-integer multiply-add, and the reduction mod
-p waits until a row is read.  Each pivot row is scaled to a leading one,
-every addend is nonnegative, and s = (p-1 + r (p-1)^2).bit_length() for r
-rows, so no slot ever borrows from or carries into its neighbour.
-inertia_psd_rank runs the fraction-free update on a symmetric matrix,
-pivoting on its diagonal.
+Z[sqrt d], after each row is cleared of denominators by their lcm.  Over
+F_p it runs on packed residue rows: each row is one integer of s-bit slots,
+one residue per slot, so that a row update is one big-integer multiply-add,
+and the reduction mod p waits until a row is read.  Each pivot row is scaled
+to a leading one, every addend is nonnegative, and
+s = (p-1 + r (p-1)^2).bit_length() for r rows, so no slot ever borrows from
+or carries into its neighbour.  solve_linear re-substitutes its answer in
+the field itself.  inertia_psd_rank runs the fraction-free update on a
+symmetric matrix, pivoting on its diagonal.
 """
 
 from __future__ import annotations
@@ -666,17 +666,9 @@ def solve_linear(m: ExactMatrix, rhs):
     field = m.field
     rhs = [field.coerce(x) for x in rhs]
     x = [row[0] for row in _solve(m, [[v] for v in rhs])]
-    if field == QQ:
-        # On integers: with x = u / D over its common denominator D, each
-        # row [c | r] of [M | rhs] cleared of denominators must give c.u = D r.
-        denom = math.lcm(*(v.denominator for v in x))
-        u = [v.numerator * (denom // v.denominator) for v in x]
-        rows, _ = _cleared(QQ, [r + [v] for r, v in zip(m.entries, rhs)])
-        holds = all(sum(map(operator.mul, r, u)) == denom * r[-1] for r in rows)
-    else:
-        # Over F_p, coerce reduces the sum mod p.
-        holds = all(field.coerce(sum(map(operator.mul, r, x))) == v
-                    for r, v in zip(m.entries, rhs))
+    # Over F_p, coerce reduces the sum mod p.
+    holds = all(field.coerce(sum(map(operator.mul, r, x))) == v
+                for r, v in zip(m.entries, rhs))
     if not holds:
         raise InternalInconsistencyError("solver re-substitution failed")
     return x

@@ -7,6 +7,7 @@ bit-packed into Python integers, vectors are tuples of small integers.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -149,54 +150,27 @@ class SetFamily:
             raise MalformedInputError(f"bad family document: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class DistanceProfile:
-    distances: tuple[int, ...]
-    is_constant: bool
-    common_value: int | None
-
-
-@dataclass(frozen=True)
-class IntersectionProfile:
-    sizes: tuple[int, ...]  # multiset, sorted
-    common_lambda: int | None
-
-
 def hamming_distance(u, v) -> int:
     """Number of coordinates where the two tuples differ."""
     if len(u) != len(v):
         raise MalformedInputError(f"length mismatch: {len(u)} vs {len(v)}")
-    return sum(1 for a, b in zip(u, v) if a != b)
+    return sum(map(operator.ne, u, v))
 
 
-def distance_set(system: VectorSystem) -> DistanceProfile:
-    """Exact set of pairwise Hamming distances over all unordered pairs."""
+def distance_set(system: VectorSystem) -> tuple[int, ...]:
+    """The distinct pairwise Hamming distances, ascending."""
     vecs = system.vectors
     if len(vecs) < 2:
         raise InsufficientInputError("distance set needs at least two vectors")
-    dists = set()
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            dists.add(hamming_distance(vecs[i], vecs[j]))
-    ordered = tuple(sorted(dists))
-    constant = len(ordered) == 1
-    return DistanceProfile(ordered, constant, ordered[0] if constant else None)
+    return tuple(sorted({hamming_distance(u, v) for i, u in enumerate(vecs) for v in vecs[i + 1:]}))
 
 
-def intersection_profile(family: SetFamily) -> IntersectionProfile:
-    """All pairwise intersection sizes; reports the common lambda when the
-    profile is constant."""
+def intersection_set(family: SetFamily) -> tuple[int, ...]:
+    """The distinct pairwise intersection sizes, ascending."""
     masks = family.masks
     if len(masks) < 2:
-        raise InsufficientInputError("intersection profile needs at least two sets")
-    sizes = []
-    for i in range(len(masks)):
-        mi = masks[i]
-        for j in range(i + 1, len(masks)):
-            sizes.append((mi & masks[j]).bit_count())
-    sizes.sort()
-    common = sizes[0] if sizes[0] == sizes[-1] else None
-    return IntersectionProfile(tuple(sizes), common)
+        raise InsufficientInputError("intersection set needs at least two sets")
+    return tuple(sorted({(a & b).bit_count() for i, a in enumerate(masks) for b in masks[i + 1:]}))
 
 
 def set_bits(mask: int) -> list[int]:

@@ -14,8 +14,8 @@ Both searches keep an explicit stack, so a clique as deep as the whole space
 costs no interpreter recursion, and both bound each node by a greedy
 colouring of its candidate set: a clique meets every colour class at most
 once (Tomita & Seki, MCQ, 2003; San Segundo et al., BBMC, 2011).  The
-colouring reads the complement table `nonadj`, which a caller that searches
-one graph many times builds once with `complement` and passes in.
+colouring reads the complement table `nonadj`, which the caller builds once
+per graph with `complement` and passes to every search on it.
 """
 
 from __future__ import annotations
@@ -129,9 +129,9 @@ def _colour_classes(nonadj, cand):
     return classes
 
 
-def extend_max(adj, count, prefix, target, cand=None, floor=0, nonadj=None):
+def extend_max(adj, nonadj, prefix, cand, floor, target):
     """Largest clique containing the clique `prefix`, with its other
-    members drawn from the mask `cand` (default: every vertex).
+    members drawn from the mask `cand`.
 
     Returns (best_size, witness, nodes): the witness is one clique of
     best_size vertices, and nodes counts the search nodes entered.  The
@@ -140,16 +140,10 @@ def extend_max(adj, count, prefix, target, cand=None, floor=0, nonadj=None):
     the search as soon as a clique of at least that size is found.  The
     witness is not canonical: branching follows the colour classes, highest
     first, and a candidate set that is already a clique is taken whole.
-    `nonadj` is `complement(adj)`, built here when not given.
+    `nonadj` is `complement(adj)`.
     """
-    if count == 0:
-        return floor, None, 0
-    if cand is None:
-        cand = (1 << count) - 1
     for v in prefix:
         cand &= adj[v]
-    if nonadj is None:
-        nonadj = complement(adj)
     base = len(prefix)
     clique = list(prefix)
     best, witness, nodes = floor, None, 0
@@ -164,7 +158,7 @@ def extend_max(adj, count, prefix, target, cand=None, floor=0, nonadj=None):
             classes = _colour_classes(nonadj, cand)
             if len(classes) == cand.bit_count():
                 best = size + len(classes)
-                witness = tuple(clique) + tuple(v for v in range(count) if (cand >> v) & 1)
+                witness = tuple(clique) + tuple(v for v in range(len(adj)) if (cand >> v) & 1)
                 if target and best >= target:
                     break
             elif size + len(classes) > best:
@@ -194,22 +188,16 @@ def extend_max(adj, count, prefix, target, cand=None, floor=0, nonadj=None):
     return best, witness, nodes
 
 
-def first_clique_of_size(adj, count, size, cand=None, nonadj=None):
+def first_clique_of_size(adj, nonadj, size, cand):
     """Lexicographically least clique of exactly `size` vertices, all in the
-    mask `cand` (default: every vertex), or None.
+    mask `cand`, or None.
 
     Depth-first in increasing index order, pruning a node only when its
     colour bound shows it cannot reach `size`, so the first clique found is
-    the least one.  `nonadj` is `complement(adj)`, built here when not given.
+    the least one.  `nonadj` is `complement(adj)`.
     """
     if size <= 0:
         return ()
-    if count == 0:
-        return None
-    if nonadj is None:
-        nonadj = complement(adj)
-    if cand is None:
-        cand = (1 << count) - 1
     clique = []
     stack = []  # per open node: its candidates not yet branched on
     while True:
@@ -219,7 +207,7 @@ def first_clique_of_size(adj, count, size, cand=None, nonadj=None):
             if need <= 1 or colours == cand.bit_count():
                 # Every remaining candidate completes the clique: the least
                 # completion takes the lowest ones.
-                return tuple(clique + [v for v in range(count) if (cand >> v) & 1][:need])
+                return tuple(clique + [v for v in range(len(adj)) if (cand >> v) & 1][:need])
             if colours >= need:
                 stack.append(cand)
         cand = None

@@ -224,7 +224,7 @@ def search_max(problem: SearchProblem) -> SearchResult:
     # docstring): all of them until a round raises the size, then those of
     # weight at least the raising round's, with the zero vector for the
     # distance predicates.
-    holders = None
+    holders = at_least[0]
     for w in sorted(weights - {0}):
         if target and size >= target:
             break
@@ -245,7 +245,7 @@ def search_max(problem: SearchProblem) -> SearchResult:
             if target and best >= target:
                 break
             best, _, more = kernel.extend_max(
-                adj, count, first + (i,), target, at_least[k], best, nonadj)
+                adj, nonadj, first + (i,), at_least[k], best, target)
             nodes += more
         if best > size:
             size, holders = best, at_least[w] | (1 if rooted else 0)
@@ -253,7 +253,7 @@ def search_max(problem: SearchProblem) -> SearchResult:
     if early:
         # Report the target size itself, witnessed by the least clique of
         # that size.
-        size, holders = target, None
-    witness = kernel.first_clique_of_size(adj, count, size, holders, nonadj)
+        size, holders = target, at_least[0]
+    witness = kernel.first_clique_of_size(adj, nonadj, size, holders)
     system = VectorSystem.from_lists(n, q, [tuple(vectors[i]) for i in sorted(witness)])
     return SearchResult(size, system, nodes, not early)

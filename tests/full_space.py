@@ -17,14 +17,15 @@ def search(problem, order=None):
     vectors = [bytes(v) for v in product(range(problem.q), repeat=n)]
     if order is not None:
         vectors = [vectors[i] for i in order]
-    count = len(vectors)
     rooted = problem.predicate != PRED_INTERSECT_CONST
     adj = kernel.adjacency(vectors, n, problem.pair_values(), not rooted)
+    nonadj = kernel.complement(adj)
+    everything = (1 << len(vectors)) - 1
     target = problem.target_size or 0
     root = (vectors.index(bytes(n)),) if rooted else ()
-    size, _, _ = kernel.extend_max(adj, count, root, target)
+    size, _, _ = kernel.extend_max(adj, nonadj, root, everything, 0, target)
     early = bool(target) and size >= target
     if early:
         size = target
-    witness = kernel.first_clique_of_size(adj, count, size)
+    witness = kernel.first_clique_of_size(adj, nonadj, size, everything)
     return size, tuple(tuple(vectors[i]) for i in sorted(witness)), not early

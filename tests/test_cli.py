@@ -927,3 +927,16 @@ def test_importing_the_cli_leaves_the_acceptance_suite_out():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
     assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
+
+
+def test_wall_time_includes_the_parser_build(capsys, monkeypatch):
+    """The report's clock starts before the parse tree is built."""
+    real = build_parser
+
+    def slow(command=None):
+        time.sleep(0.05)
+        return real(command)
+
+    monkeypatch.setattr(cli, "build_parser", slow)
+    code, report, _ = run_cli(capsys, "bound", "two-dist-max", "--n", "6")
+    assert code == 0 and report["wall_time_s"] >= 0.05

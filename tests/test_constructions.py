@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from basisbound import constructions
 from basisbound.constructions import (
     MAX_HADAMARD_V,
     MAX_JOHNSON_M,
@@ -38,7 +39,7 @@ from basisbound.families import (
     SetFamily,
     degrees,
     distance_set,
-    intersection_profile,
+    intersection_set,
 )
 
 
@@ -49,7 +50,7 @@ def test_fano_plane_parameters():
     fam = fano_plane()
     assert fam.n == 7 and len(fam) == 7
     assert set(fam.sizes()) == {3}
-    assert intersection_profile(fam).common_lambda == 1
+    assert intersection_set(fam) == (1,)
     assert degrees(fam) == [3] * 7
 
 
@@ -58,7 +59,7 @@ def test_projective_plane_parameters(r, n, size):
     fam = projective_plane(r)
     assert fam.n == n and len(fam) == n
     assert set(fam.sizes()) == {size}
-    assert intersection_profile(fam).common_lambda == 1
+    assert intersection_set(fam) == (1,)
 
 
 def test_projective_plane_rejects_nonprime():
@@ -82,10 +83,10 @@ def test_hadamard_design_small_orders():
     assert sorted(fam.sets) == [(1,), (2,), (3,)]
     fam = hadamard_design(2)
     assert fam.n == 7 and set(fam.sizes()) == {3}
-    assert intersection_profile(fam).common_lambda == 1
+    assert intersection_set(fam) == (1,)
     fam = hadamard_design(3)
     assert fam.n == 11 and set(fam.sizes()) == {5}
-    assert intersection_profile(fam).common_lambda == 2
+    assert intersection_set(fam) == (2,)
 
 
 def test_hadamard_design_order_cap():
@@ -100,12 +101,26 @@ def test_hadamard_design_unsupported_order():
         hadamard_design(4)  # 15 is not prime
 
 
-@pytest.mark.parametrize("v", [1, 2, 3])
+@pytest.mark.parametrize("v", [1, 2, 3, 5, 8])
 def test_hadamard_plus_full_constant_distance(v):
+    """The constructor checks distances on masks; the oracle on vectors."""
     fam = hadamard_plus_full(v)
     assert len(fam) == 4 * v and fam.n == 4 * v - 1
-    profile = distance_set(fam.to_vector_system())
-    assert profile.is_constant and profile.common_value == 2 * v
+    assert distance_set(fam.to_vector_system()) == (2 * v,)
+
+
+def test_hadamard_plus_full_rejects_a_broken_design(monkeypatch):
+    """A design with one block changed fails the plus-full distance check,
+    whose message lists the distinct distances found."""
+    design = hadamard_design(3)
+    broken = SetFamily(design.n, (design.masks[0] ^ 1,) + design.masks[1:])
+    monkeypatch.setattr(constructions, "hadamard_design", lambda v: broken)
+    plus_full = SetFamily(broken.n, broken.masks + ((1 << broken.n) - 1,))
+    found = distance_set(plus_full.to_vector_system())
+    assert len(found) > 1
+    with pytest.raises(InternalInconsistencyError) as info:
+        hadamard_plus_full(3)
+    assert str(info.value) == f"expected constant distance 6, got {found}"
 
 
 def test_hadamard_plus_full_v1_members():
@@ -119,21 +134,21 @@ def test_lambda_design_from_fano():
     fam = lambda_design_type1(fano_plane(), 0)
     assert fam.n == 7 and len(fam) == 7
     assert sorted(set(fam.sizes())) == [3, 4]
-    assert intersection_profile(fam).common_lambda == 2
+    assert intersection_set(fam) == (2,)
 
 
 def test_lambda_design_from_pg11():
     fam = lambda_design_type1(projective_plane(11), 0)
     assert fam.n == 133
     assert sorted(set(fam.sizes())) == [12, 22]
-    assert intersection_profile(fam).common_lambda == 11
+    assert intersection_set(fam) == (11,)
 
 
 def test_lambda_design_block_choice_preserves_parameters():
     base = fano_plane()
     for index in range(3):
         fam = lambda_design_type1(base, index)
-        assert intersection_profile(fam).common_lambda == 2
+        assert intersection_set(fam) == (2,)
         assert sorted(set(fam.sizes())) == [3, 4]
 
 
@@ -152,7 +167,7 @@ def test_lambda_design_rejects_non_design():
 def test_near_pencil_shape():
     fam = near_pencil(5)
     assert fam.n == 5 and len(fam) == 5
-    assert intersection_profile(fam).common_lambda == 1
+    assert intersection_set(fam) == (1,)
     assert degrees(fam) == [4, 2, 2, 2, 2]
 
 

@@ -288,8 +288,8 @@ def test_solve_resubstitutes_exactly():
 )
 def test_resubstitution_catches_a_perturbed_solution(monkeypatch, field, shift):
     """With one entry of the solver's answer moved, solve_linear raises
-    instead of returning it; over Q the check runs on integers, over GF(7)
-    and Q(sqrt 5) on the coerced row sums."""
+    instead of returning it: in every field the check compares each coerced
+    row sum with its right-hand side."""
     rows = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
     rhs = [1, 2, 3]
     if field == QQ:  # a different denominator in each row

@@ -20,7 +20,7 @@ from basisbound.families import (
     degrees,
     distance_set,
     hamming_distance,
-    intersection_profile,
+    intersection_set,
 )
 
 
@@ -51,16 +51,15 @@ def test_distance_set_examples():
     hadamard = VectorSystem.from_lists(
         3, 2, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
     )
-    profile = distance_set(hadamard)
-    assert profile.distances == (2,) and profile.is_constant
-
-    profile = distance_set(VectorSystem.from_lists(3, 2, [(0, 0, 0), (0, 0, 1)]))
-    assert profile.distances == (1,) and profile.common_value == 1
+    assert distance_set(hadamard) == (2,)
+    assert distance_set(VectorSystem.from_lists(3, 2, [(0, 0, 0), (0, 0, 1)])) == (1,)
+    ternary = VectorSystem.from_lists(3, 3, [(0, 0, 0), (0, 1, 2), (1, 1, 2)])
+    assert distance_set(ternary) == (1, 2, 3)
 
     quad = VectorSystem.from_lists(
         4, 2, [(0, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (0, 1, 1, 0)]
     )
-    assert distance_set(quad).distances == (2,)
+    assert distance_set(quad) == (2,)
 
 
 def test_distance_set_needs_two_vectors():
@@ -82,18 +81,19 @@ def test_vector_system_validation():
 def test_intersection_profile_examples():
     from basisbound.constructions import fano_plane, lambda_design_type1, projective_plane
 
-    assert intersection_profile(fano_plane()).common_lambda == 1
+    assert intersection_set(fano_plane()) == (1,)
     disjoint = SetFamily.from_sets(4, [[1, 2], [3, 4]])
-    assert intersection_profile(disjoint).common_lambda == 0
+    assert intersection_set(disjoint) == (0,)
     ld = lambda_design_type1(projective_plane(11), 0)
-    assert intersection_profile(ld).common_lambda == 11
+    assert intersection_set(ld) == (11,)
 
 
 def test_intersection_profile_multiset():
-    fam = SetFamily.from_sets(4, [[1, 2], [2, 3], [1, 2, 3]])
-    profile = intersection_profile(fam)
-    assert profile.sizes == (1, 2, 2)
-    assert profile.common_lambda is None
+    """Sizes met by several pairs appear once, in ascending order."""
+    fam = SetFamily.from_sets(4, [[1, 2, 3], [2, 3], [1, 2]])
+    assert intersection_set(fam) == (1, 2)
+    with pytest.raises(InsufficientInputError):
+        intersection_set(SetFamily.from_sets(4, [[1, 2]]))
 
 
 def test_degrees_examples():

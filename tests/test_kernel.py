@@ -58,19 +58,34 @@ def random_graphs(seed, trials, max_count=40):
         yield rng, count, random_graph(rng, count, rng.uniform(0.0, 0.8))
 
 
+def extend_max(adj, prefix=(), target=0, cand=None, floor=0):
+    """kernel.extend_max on the whole graph unless `cand` is given."""
+    full = (1 << len(adj)) - 1
+    return kernel.extend_max(adj, kernel.complement(adj), prefix,
+                             full if cand is None else cand, floor, target)
+
+
+def first_clique_of_size(adj, size, cand=None):
+    """kernel.first_clique_of_size on the whole graph unless `cand` is given."""
+    full = (1 << len(adj)) - 1
+    return kernel.first_clique_of_size(adj, kernel.complement(adj), size,
+                                       full if cand is None else cand)
+
+
 def test_pure_kernel_empty_and_trivial():
-    assert kernel.extend_max([], 0, (), 0) == (0, None, 0)
-    assert kernel.extend_max([0], 1, (), 0)[:2] == (1, (0,))
-    assert kernel.extend_max([0], 1, (0,), 0)[:2] == (1, (0,))
-    assert kernel.first_clique_of_size([0], 1, 1) == (0,)
-    assert kernel.first_clique_of_size([0], 1, 2) is None
-    assert kernel.first_clique_of_size([], 0, 0) == ()
+    assert extend_max([]) == (0, None, 1)
+    assert extend_max([0])[:2] == (1, (0,))
+    assert extend_max([0], (0,))[:2] == (1, (0,))
+    assert first_clique_of_size([0], 1) == (0,)
+    assert first_clique_of_size([0], 2) is None
+    assert first_clique_of_size([], 0) == ()
+    assert first_clique_of_size([], 1) is None
 
 
 def test_extend_max_matches_reference_on_random_graphs():
     for _, count, adj in random_graphs(424242, 150):
         want = naive_kernel.extend_max(adj, count, (), 0, 0)[0]
-        size, witness, nodes = kernel.extend_max(adj, count, (), 0)
+        size, witness, nodes = extend_max(adj)
         assert size == want
         if count:
             assert len(witness) == size and is_clique(adj, witness) and nodes >= 1
@@ -86,7 +101,7 @@ def test_rooted_extend_max_matches_reference():
         perm = list(range(count))
         perm[0], perm[r] = r, 0
         want = naive_kernel.extend_max(relabel(adj, perm), count, (0,), 0, 0)[0]
-        size, witness, _ = kernel.extend_max(adj, count, (r,), 0)
+        size, witness, _ = extend_max(adj, (r,))
         assert size == want
         assert witness[0] == r and len(witness) == size and is_clique(adj, witness)
 
@@ -112,7 +127,7 @@ def test_extend_max_candidates_and_floor_match_reference():
                     sub[a] |= 1 << b
         want = naive_kernel.extend_max(sub, len(keep), tuple(range(len(prefix))), 0, 0)[0]
         floor = rng.randint(0, want + 1)
-        size, witness, _ = kernel.extend_max(adj, count, prefix, 0, cand, floor)
+        size, witness, _ = extend_max(adj, prefix, 0, cand, floor)
         if want > floor:
             assert size == want and len(witness) == size and is_clique(adj, witness)
             assert witness[:len(prefix)] == prefix
@@ -127,7 +142,7 @@ def test_extend_max_target_stops_at_a_large_enough_clique():
             continue
         best = naive_kernel.extend_max(adj, count, (), 0, 0)[0]
         target = rng.randint(1, best + 1)
-        size, witness, _ = kernel.extend_max(adj, count, (), target)
+        size, witness, _ = extend_max(adj, (), target)
         assert size >= target if target <= best else size == best
         assert size <= best and len(witness) == size and is_clique(adj, witness)
 
@@ -136,7 +151,7 @@ def test_first_clique_matches_reference():
     for _, count, adj in random_graphs(11, 80):
         best = naive_kernel.extend_max(adj, count, (), 0, 0)[0]
         for size in range(0, best + 2):
-            assert kernel.first_clique_of_size(adj, count, size) == \
+            assert first_clique_of_size(adj, size) == \
                 naive_kernel.first_clique_of_size(adj, count, size)
 
 
@@ -150,25 +165,8 @@ def test_first_clique_in_candidates_matches_reference():
         best = naive_kernel.extend_max(sub, len(keep), (), 0, 0)[0]
         for size in range(0, best + 2):
             want = naive_kernel.first_clique_of_size(sub, len(keep), size)
-            got = kernel.first_clique_of_size(adj, count, size, cand)
+            got = first_clique_of_size(adj, size, cand)
             assert got == (None if want is None else tuple(keep[b] for b in want))
-
-
-def test_given_complement_changes_no_result():
-    """Passing `complement(adj)`, as a caller that searches one graph many
-    times does, gives the same results as letting each call build it."""
-    for rng, count, adj in random_graphs(1618, 80):
-        nonadj = kernel.complement(adj)
-        cand = rng.getrandbits(count)
-        prefix = (rng.randrange(count),) if count else ()
-        floor = rng.randint(0, 3)
-        for target in (0, rng.randint(1, 6)):
-            args = (adj, count, prefix, target, cand, floor)
-            assert kernel.extend_max(*args, nonadj) == kernel.extend_max(*args)
-        for size in range(0, 6):
-            for mask in (None, cand):
-                assert kernel.first_clique_of_size(adj, count, size, mask, nonadj) == \
-                    kernel.first_clique_of_size(adj, count, size, mask)
 
 
 def test_complete_graphs_beyond_word_sizes():
@@ -177,8 +175,8 @@ def test_complete_graphs_beyond_word_sizes():
     for count in (31, 32, 33, 63, 64, 65, 100, 1500):
         adj = [((1 << count) - 1) ^ (1 << i) for i in range(count)]
         expected = tuple(range(count))
-        assert kernel.extend_max(adj, count, (), 0)[:2] == (count, expected)
-        assert kernel.first_clique_of_size(adj, count, count) == expected
+        assert extend_max(adj)[:2] == (count, expected)
+        assert first_clique_of_size(adj, count) == expected
 
 
 def test_nearly_complete_graph_has_no_recursion_limit():
@@ -187,8 +185,8 @@ def test_nearly_complete_graph_has_no_recursion_limit():
     adj = [full ^ (1 << i) for i in range(count)]
     adj[0] ^= 1 << 1
     adj[1] ^= 1
-    assert kernel.extend_max(adj, count, (), 0)[0] == count - 1
-    assert kernel.first_clique_of_size(adj, count, count - 1) == (0,) + tuple(range(2, count))
+    assert extend_max(adj)[0] == count - 1
+    assert first_clique_of_size(adj, count - 1) == (0,) + tuple(range(2, count))
 
 
 @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 2), (4, 3), (2, 6)])

@@ -82,8 +82,7 @@ def test_search_matches_subset_enumeration(n, q, predicate, kwargs, pair_ok):
 def test_witness_satisfies_predicate_independently():
     problem = SearchProblem(4, 2, PRED_DIST_MOD, lam=2, p=3)
     witness = search_max(problem).witness
-    profile = distance_set(witness)
-    assert all(d % 3 == 2 for d in profile.distances)
+    assert all(d % 3 == 2 for d in distance_set(witness))
 
 
 def test_witness_is_lexicographically_least():

@@ -17,14 +17,18 @@ gets its document and the digest its bytes.  A TEXT_ARGS name is a scalar
 literal, every other name an int.  Only `construct lambda-design` declares
 its own flags.  GROUPS turns each table's runner results into reports.
 
-Each `main` call builds the argparse tree of the one command its argv
-names: the root and every command's parser, with the leaves and flags of
-that command alone (`build_parser(command)`).  An argv that names no
-command gets the full tree.  No parser is kept from one call to the next:
-the `basisbound` script parses once per process, so a kept parser would
-save it nothing.  In the benchmark's worker, which calls `main` many times,
-it would only add rounds, and the worker keeps data for every round, so
-its peak RSS would rise (ROADMAP item 10).
+Each `main` call builds the argparse tree that its argv needs
+(`build_parser(argv)`): the root and every command's parser, and
+under the command that argv[0] names, the leaf that argv[1] names with its
+flags.  When argv[1] names no leaf of that command (`-h`, a typo, `--`,
+nothing), every leaf of it is built, so its help and `invalid choice`
+messages are the full tree's; an argv that names no command gets the full
+tree.  Every command's parser is still built, though an argv that names
+one command reaches no other: building only that one, or keeping one
+parser from call to call, would make the benchmark's worker, which calls
+`main` many times, run more rounds, and it keeps data for every round, so
+its peak RSS would rise (ROADMAP item 10).  The `basisbound` script parses
+once per process, so either would save it nothing.
 """
 
 from __future__ import annotations
@@ -206,11 +210,16 @@ class Parser(argparse.ArgumentParser):
         raise HelpRequested(self.format_help())
 
 
-def build_parser(command=None) -> Parser:
+def build_parser(argv=()) -> Parser:
     """The root parser and one parser per command, each with its help, so
     that the root's help, usage and `invalid choice` messages are the same
-    whatever `command` is.  Leaves and flags go under `command` alone, or
-    under every command when it is None."""
+    whatever `argv` is.  Leaves and flags go under the command that argv[0]
+    names alone, or under every command when it names none; of that
+    command's leaves, only the one that argv[1] names is built, or all of
+    them when it names none."""
+    command = argv[0] if argv and (argv[0] in GROUPS or argv[0] in RUNNERS) else None
+    kinds = GROUPS[command][1] if command in GROUPS else ()
+    leaf = argv[1] if len(argv) > 1 and argv[1] in kinds else None
     # --help shows the docstring's first two paragraphs, for users; the
     # rest is for readers of this module.
     parser = Parser(prog="basisbound", description="\n\n".join(__doc__.split("\n\n")[:2]))
@@ -223,6 +232,8 @@ def build_parser(command=None) -> Parser:
             continue
         leaves = group.add_subparsers(dest=f"{name}_kind", required=True, prog=group.prog)
         for kind, (leaf_help, arg_names, _) in table.items():
+            if leaf not in (None, kind):
+                continue
             p = leaves.add_parser(kind, help=leaf_help)
             if kind == "lambda-design":
                 base = p.add_mutually_exclusive_group(required=True)
@@ -369,9 +380,8 @@ def _error_payload(exc) -> dict:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    command = argv[0] if argv and (argv[0] in GROUPS or argv[0] in RUNNERS) else None
     started = time.monotonic()
-    parser = build_parser(command)
+    parser = build_parser(argv)
     args = error_message = None
     inputs = argv
     try:

@@ -830,7 +830,9 @@ def fuzz_files(tmp_path_factory):
 def test_argv_fuzz_reports(fuzz_files, data):
     """Any subcommand (verify excepted) with each flag omitted or given one
     of a few tokens gives one JSON report of its argv, an exit code in
-    0..3 that matches the outcome, and exit 1 only on outcome fail."""
+    0..3 that matches the outcome, and exit 1 only on outcome fail; and
+    the exit code, report and stderr of the full tree, the oracle of the
+    tree that main builds for the argv."""
     path, flags = data.draw(st.sampled_from(LEAVES))
     argv = list(path)
     values = {}
@@ -843,14 +845,14 @@ def test_argv_fuzz_reports(fuzz_files, data):
             values[flag] = token
     if path == ("search",) and values.get("--n", "").isdigit() and values.get("--q", "").isdigit():
         assume(int(values["--q"]) ** int(values["--n"]) <= MAX_FUZZ_SPACE)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    report = json.loads(out.getvalue())
+    [(code, report, err)] = run = _reports([argv])
     assert report["command"] == argv
     # Exit 1 is the code of outcome fail alone.
     assert code in (0, 1, 2, 3) and code == EXIT_CODES[report["outcome"]]
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
+    with pytest.MonkeyPatch.context() as patch:
+        _build_the_full_tree(patch)
+        assert run == _reports([argv])
 
 
 def test_readme_command_lines_parse():
@@ -862,10 +864,10 @@ def test_readme_command_lines_parse():
     assert lines
     for line in lines:
         argv = shlex.split(line)[1:]
-        assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
+        assert build_parser(argv).parse_args(argv) == build_parser().parse_args(argv)
 
 
-# -- the parser of one command's branch ------------------------------------------
+# -- the parser of the branch that argv names ------------------------------------
 
 
 def _helps(parser, path=()):
@@ -886,6 +888,9 @@ EDGE_ARGVS = [
     ["certify", "bogus"], ["bound"], ["bound", "delsarte", "--n", "3"], ["search", "--n", "3"],
     [*SEARCH_ARGV[:6], "bogus"], ["construct", "pg", "--r", "2", "--bogus", "1"],
     ["verify", "--bogus"], ["construct", "fano"], SEARCH_ARGV,
+    ["certify", "ryser"], ["certify", "ryser", "ryser"], ["certify", "--", "ryser"],
+    ["certify", "-h", "ryser"], ["certify", "delsarte"], ["bound", "delsarte", "-h"],
+    ["construct", "lambda-design", "--pg", "3", "--design", "x"],
 ]
 
 
@@ -902,21 +907,54 @@ def _reports(argvs):
     return runs
 
 
-def test_branch_parser_matches_the_full_tree(monkeypatch):
-    """The full tree is the oracle of each command's branch: the root's
-    help and every help under the command are the full tree's, and main,
-    which builds the branch its argv names, reports on edge argvs what it
-    reports with the full tree."""
-    full = _helps(build_parser())
-    for command in [*cli.GROUPS, *cli.RUNNERS]:
-        def own(helps):
-            return {path: text for path, text in helps.items() if path[:1] in ((), (command,))}
-
-        assert own(_helps(build_parser(command))) == own(full), command
-    branch_reports = _reports(EDGE_ARGVS)
+def _build_the_full_tree(patch):
+    """Make main build the full tree, whatever its argv."""
     full_tree = build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_tree())
+    patch.setattr(cli, "build_parser", lambda argv=(): full_tree())
+
+
+def test_branch_parser_matches_the_full_tree(monkeypatch):
+    """The full tree is the oracle of the branch that argv names: the
+    root's help and every help under the command that argv[0] names, or
+    under the leaf that argv[1] names, are the full tree's, and main, which
+    builds that branch, reports on edge argvs what it reports with the full
+    tree.  (A command's own help is reached only by an argv that names no
+    leaf, so a leaf's branch is not asked for it.)"""
+    full = _helps(build_parser())
+    paths = [(command,) for command in [*cli.GROUPS, *cli.RUNNERS]]
+    paths += [(command, leaf) for command, (_, table, _) in cli.GROUPS.items() for leaf in table]
+    for path in paths:
+        def own(helps):
+            return {p: text for p, text in helps.items() if p == () or p[:len(path)] == path}
+
+        assert own(_helps(build_parser(list(path)))) == own(full), path
+    branch_reports = _reports(EDGE_ARGVS)
+    _build_the_full_tree(monkeypatch)
     assert branch_reports == _reports(EDGE_ARGVS)
+
+
+@pytest.mark.parametrize("argv, parsers", [
+    (["certify", "ryser", "--family", "missing.json", "--lambda", "1"], 7),
+    (["construct", "fano"], 7),
+    (["bound", "delsarte", "--n", "3", "--q", "2", "--s", "1"], 7),
+    (SEARCH_ARGV, 6),
+    (["certify", "-h"], 12),
+    (["--help"], 25),
+])
+def test_parsers_built_per_call(capsys, monkeypatch, argv, parsers):
+    """main builds the root, every command's parser and, under the command
+    that argv names, only the leaf that argv names, or every leaf when it
+    names none: a count of parsers, which does not depend on the machine."""
+    built = []
+    init = cli.Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.Parser, "__init__", counted)
+    run_cli(capsys, *argv)
+    assert len(built) == parsers
 
 
 def test_importing_the_cli_leaves_the_acceptance_suite_out():
@@ -933,9 +971,9 @@ def test_wall_time_includes_the_parser_build(capsys, monkeypatch):
     """The report's clock starts before the parse tree is built."""
     real = build_parser
 
-    def slow(command=None):
+    def slow(argv=()):
         time.sleep(0.05)
-        return real(command)
+        return real(argv)
 
     monkeypatch.setattr(cli, "build_parser", slow)
     code, report, _ = run_cli(capsys, "bound", "two-dist-max", "--n", "6")

@@ -13,9 +13,9 @@ checked by exact re-substitution, not by an elimination; the one
 elimination engine (`solve_linear`) runs only on a two-distance Gram whose
 evaluation matrix is not diagonal, and on the interpolation systems of
 `indicator_poly`.  Member functions are evaluated from the data directly:
-the hamming-tight members at a vector are its Hamming distances minus
-lambda, the two-distance members are products of Gram-entry differences,
-one per distinct value in one count of the Gram's entries.
+a hamming-tight member at another is n minus one popcount of the two packed
+one-hot, minus lambda; the two-distance members are products of Gram-entry
+differences, one per distinct value in one count of the Gram's entries.
 Both sides of every identity are computed by independent code paths.
 An identity's `left` and `right` are, as a rule, two exact values
 formatted in the certificate's field, and it holds when they are equal
@@ -55,7 +55,7 @@ from .exactfield import (
     scalar_field,
     solve_linear,
 )
-from .families import SetFamily, VectorSystem, degrees, hamming_distance, set_bits
+from .families import SetFamily, VectorSystem, degrees, set_bits
 
 FLOAT_TOLERANCE = 1e-9
 
@@ -181,20 +181,33 @@ def indicator_poly(a: int, q: int, p: PrimeFieldCtx) -> list[int]:
     return coeffs
 
 
+def _packed_members(vectors, q: int) -> list[int]:
+    """Each of N members as one integer, a one-hot slot of min(q, N) bits per
+    coordinate (columns relabelled densely when q > N), so that members u
+    and v agree in popcount(u & v) coordinates."""
+    width = min(q, len(vectors))
+    if q > width:
+        relabel = [{s: k for k, s in enumerate(dict.fromkeys(c))} for c in zip(*vectors)]
+        vectors = [[ids[s] for ids, s in zip(relabel, v)] for v in vectors]
+    slot = [format(1 << s, f"0{width}b") for s in range(width)]
+    return [int("".join([slot[s] for s in v]), 2) for v in vectors]
+
+
 def hamming_tight_certificate(system: VectorSystem, p: int, lam: int) -> Certificate:
     """Certificate for a vector system meeting the modular constant-distance
     bound n(q-1) with one extra member.
 
     The member functions are f_a(x) = sum_i l_{a_i}(x_i) - lambda over F_p,
     where l_a is `indicator_poly(a)`: 0 at a and 1 elsewhere on [0, q-1].
-    So f_a(h) = d_H(a, h) - lambda, and the member sums at the constant
-    vectors are read from Hamming distances.  The hypotheses (every distance
-    congruent to lambda, lambda nonzero mod p) make the evaluation matrix
-    -lambda I, so the constant 1 is the combination with every coefficient
-    -1/lambda.  That combination is re-expanded over the monomial
-    coefficients of the l_a, independently of the distances, and the forced
-    congruence q*lambda = n(q-1)+1 mod p is checked.  A tight system with
-    q^4 > MAX_INTERPOLATION_WORK is refused before the l_a are interpolated.
+    So f_a(h) = d_H(a, h) - lambda: n minus one popcount of two packed
+    members (`_packed_members`), and, summed at (j,...,j), N n minus the
+    count of entries j.  The hypotheses (every distance congruent to lambda,
+    lambda nonzero mod p) make the evaluation matrix -lambda I, so the
+    constant 1 is the combination with every coefficient -1/lambda.  That
+    combination is re-expanded over the monomial coefficients of the l_a,
+    independently of the distances, and the forced congruence q*lambda =
+    n(q-1)+1 mod p is checked.  A tight system with q^4 >
+    MAX_INTERPOLATION_WORK is refused before the l_a are interpolated.
     """
     ctx = PrimeFieldCtx(p)
     p_value = ctx.p
@@ -210,9 +223,10 @@ def hamming_tight_certificate(system: VectorSystem, p: int, lam: int) -> Certifi
         )
     vectors = system.vectors
     member_count = len(vectors)
-    for i in range(member_count):
+    packed = _packed_members(vectors, q)
+    for i, u in enumerate(packed):
         for j in range(i + 1, member_count):
-            d = hamming_distance(vectors[i], vectors[j])
+            d = n - (u & packed[j]).bit_count()
             if d % p_value != lam_res:
                 raise HypothesisViolationError(
                     f"distance {d} between members {i} and {j} is not "
@@ -271,8 +285,7 @@ def hamming_tight_certificate(system: VectorSystem, p: int, lam: int) -> Certifi
 
     minus_lam = (-lam_res) % p_value
     for j in range(q):
-        point = (j,) * n
-        total = sum(hamming_distance(f, point) - lam for f in vectors) % p_value
+        total = (member_count * (n - lam) - sum(f.count(j) for f in vectors)) % p_value
         identities.append(_equal(f"member_sum_at_constant_vector_{j}", ctx, total, minus_lam))
 
     left, right = q * lam_res % p_value, (n * (q - 1) + 1) % p_value
@@ -540,10 +553,10 @@ def ryser_decompose(family: SetFamily, lam: int) -> Certificate:
     is kappa_i = lambda (A^{-1} 1)_i.  kappa is stated in closed form
     (`_fisher_kappa`) and checked by one integer re-substitution over the
     incidences.  Then verifies the degree identity r_i = kappa_i(n-1) + 1,
-    the per-point and global reciprocal sums, that at most two kappa values
-    occur, and classifies the family: one value gives the uniform regular
-    alternative, two values give degrees r, r' with kappa + kappa' = 1 and
-    r + r' = n + 1.
+    the per-point and global reciprocal sums, as integers over one common
+    denominator, that at most two kappa values occur, and classifies the
+    family: one value gives the uniform regular alternative, two values
+    give degrees r, r' with kappa + kappa' = 1 and r + r' = n + 1.
     """
     n = family.n
     if lam <= 0:
@@ -580,7 +593,13 @@ def ryser_decompose(family: SetFamily, lam: int) -> Certificate:
 
     members = [set_bits(m) for m in masks]
     point_degrees = degrees(family)
-    kappa = _fisher_kappa(members, [s - lam for s in sizes], lam, n)
+    excess = [s - lam for s in sizes]
+    kappa = _fisher_kappa(members, excess, lam, n)
+    # Fisher's identity makes A nonsingular, so every point lies in a
+    # member and sigma_i > 0; sigma_i <= S then gives 0 < kappa_i < 1, and
+    # neither 1/kappa_i nor 1/(1 - kappa_i) divides by zero.
+    inverse = {k: 1 / (1 - k) for k in dict.fromkeys(kappa)}
+    degree = {k: k * (n - 1) + 1 for k in inverse}
 
     # Re-substitution, in integers over the incidences: with kappa cleared
     # to integers c by its common denominator D, A kappa = lambda 1 reads
@@ -591,21 +610,21 @@ def ryser_decompose(family: SetFamily, lam: int) -> Certificate:
     mismatches = sum(1 for m in members if sum(ints[i] for i in m) != lam * denom)
     identities = [
         _equal("monomial_resubstitution_mismatches", QQ, mismatches, 0),
-        _equal("degree_from_kappa", QQ, point_degrees, [k * (n - 1) + 1 for k in kappa]),
+        _equal("degree_from_kappa", QQ, point_degrees, [degree[k] for k in kappa]),
     ]
 
-    # Fisher's identity makes A nonsingular, so every point lies in a
-    # member and sigma_i > 0; sigma_i <= S then gives 0 < kappa_i < 1, and
-    # neither 1/kappa_i nor 1/(1 - kappa_i) divides by zero.
-    recip = [Fraction(1, s - lam) for s in sizes]
+    # Reciprocal sums in integers over L = lcm(d_j), apart from kappa's sigma.
+    scale = math.lcm(*excess)
+    weights = [scale // d for d in excess]
     point_sums = [0] * n
-    for member, x in zip(members, recip):
+    for member, w in zip(members, weights):
         for i in member:
-            point_sums[i] += x
-    identities.append(_equal("point_reciprocal_sum", QQ, point_sums, [1 / (1 - k) for k in kappa]))
+            point_sums[i] += w
+    point_sums = [Fraction(x, scale) for x in point_sums]
+    identities.append(_equal("point_reciprocal_sum", QQ, point_sums, [inverse[k] for k in kappa]))
 
-    global_sum = sum(recip)
-    per_point = list(dict.fromkeys(1 / k + 1 / (1 - k) - Fraction(1, lam) for k in kappa))
+    global_sum = Fraction(sum(weights), scale)
+    per_point = list(dict.fromkeys(1 / k + c - Fraction(1, lam) for k, c in inverse.items()))
     identities.append(
         Identity(
             "global_reciprocal_sum",
@@ -615,7 +634,7 @@ def ryser_decompose(family: SetFamily, lam: int) -> Certificate:
         )
     )
 
-    kappa_values = sorted(set(kappa))
+    kappa_values = sorted(inverse)
     identities.append(
         Identity("kappa_value_count", str(len(kappa_values)), "1 or 2", len(kappa_values) <= 2)
     )
@@ -629,7 +648,7 @@ def ryser_decompose(family: SetFamily, lam: int) -> Certificate:
     coefficients = [QQ.format(k) for k in kappa]
 
     degree_set = sorted(set(point_degrees))
-    rs = [k * (n - 1) + 1 for k in kappa_values]
+    rs = [degree[k] for k in kappa_values]
     if len(rs) == 1:
         details.update(alternative="A", r=QQ.format(rs[0]))
         identities.append(_equal("uniform_size_equals_degree", QQ, sorted(set(sizes)), rs))

@@ -50,7 +50,7 @@ class VectorSystem:
         for v in self.vectors:
             if len(v) != self.n:
                 raise MalformedInputError(f"vector length {len(v)} != n = {self.n}")
-            if any(not (is_json_int(x) and 0 <= x < self.q) for x in v):
+            if any((type(x) is not int and not is_json_int(x)) or not 0 <= x < self.q for x in v):
                 raise MalformedInputError(f"entry not an integer in [0, {self.q - 1}] in {v}")
             if v in seen:
                 raise MalformedInputError(f"duplicate vector {v}")
@@ -66,14 +66,8 @@ class VectorSystem:
     def to_set_family(self) -> "SetFamily":
         if self.q != 2:
             raise MalformedInputError("characteristic vectors require q = 2")
-        masks = []
-        for v in self.vectors:
-            m = 0
-            for i, x in enumerate(v):
-                if x:
-                    m |= 1 << i
-            masks.append(m)
-        return SetFamily(self.n, tuple(masks))
+        masks = tuple(sum(1 << i for i, x in enumerate(v) if x) for v in self.vectors)
+        return SetFamily(self.n, masks)
 
     def to_json_dict(self):
         return {"n": self.n, "q": self.q, "vectors": [list(v) for v in self.vectors]}
@@ -115,7 +109,7 @@ class SetFamily:
         for s in sets:
             m = 0
             for e in s:
-                if not (is_json_int(e) and 1 <= e <= n):
+                if (type(e) is not int and not is_json_int(e)) or not 1 <= e <= n:
                     raise MalformedInputError(f"element {e!r} is not an integer in [1, {n}]")
                 m |= 1 << (e - 1)
             masks.append(m)
@@ -185,12 +179,12 @@ def set_bits(mask: int) -> list[int]:
 
 
 def degrees(family: SetFamily) -> list[int]:
-    """d_i = number of member sets containing point i, for i in [n]."""
-    out = [0] * family.n
-    for m in family.masks:
-        for i in set_bits(m):
-            out[i] += 1
-    return out
+    """d_i = number of member sets containing point i, for i in [n]: every
+    mask is written once as n binary digits, and point i's column, digit
+    n-1-i of each row, is counted in the joined rows."""
+    n = family.n
+    bits = "".join([format(m, f"0{n}b") for m in family.masks])
+    return [bits[i::n].count("1") for i in range(n - 1, -1, -1)]
 
 
 def constant_vector_distance_sum(f, q: int, p) -> int:
@@ -208,7 +202,4 @@ def constant_vector_distance_sum(f, q: int, p) -> int:
     f = tuple(f)
     if any(not (0 <= x < q) for x in f):
         raise MalformedInputError(f"entry outside [0, {q - 1}] in {f}")
-    total = 0
-    for j in range(q):
-        total += sum(1 for x in f if x != j)
-    return total % p_value
+    return sum(x != j for j in range(q) for x in f) % p_value

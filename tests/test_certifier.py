@@ -4,11 +4,14 @@ congruences and the Ryser dichotomy."""
 import hashlib
 import json
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+import naive_certifier
 from basisbound.certifier import (
     certify_independence,
     hamming_tight_certificate,
@@ -29,7 +32,7 @@ from basisbound.constructions import (
     projective_plane,
     schlafli27,
 )
-from basisbound.errors import HypothesisViolationError, MalformedInputError
+from basisbound.errors import HypothesisViolationError, MalformedInputError, ResourceGuardError
 from basisbound.exactfield import (
     QQ,
     ExactMatrix,
@@ -675,3 +678,133 @@ def test_hypothesis_violation_names_the_pair(certify, message, clause):
         certify()
     assert type(err.value) is HypothesisViolationError
     assert (str(err.value), err.value.clause) == (message, clause)
+
+
+# -- differential: integer hot loops against the tuple and Fraction loops -------
+
+
+def _outcome(certify, *args):
+    """The certificate's payload, or the raised error's type, message and
+    clause."""
+    try:
+        return json.dumps(certify(*args).to_json_dict(), indent=2)
+    except HypothesisViolationError as exc:
+        return type(exc), str(exc), exc.clause
+    except (MalformedInputError, ResourceGuardError) as exc:
+        return type(exc), str(exc)
+
+
+def _toggle(family, index, element):
+    masks = list(family.masks)
+    masks[index] ^= 1 << element
+    return SetFamily(family.n, tuple(masks))
+
+
+def _ryser_battery():
+    rng = random.Random(32)
+    bases = [(projective_plane(r), 1) for r in (2, 3, 5, 7, 11, 13)] + [(_pg2_over_gf4(), 1)]
+    bases += [(near_pencil(m), 1) for m in (4, 12, 40)]
+    bases += [(lambda_design_type1(fano_plane(), 0), 2)]
+    cases = []
+    for family, lam in bases:
+        cases += [(family, lam), (family, lam + 1)]
+        # One element toggled in the first, a middle and the last member.
+        for index in (0, len(family) // 2, len(family) - 1):
+            cases.append((_toggle(family, index, rng.randrange(family.n)), lam))
+    cases += [(hadamard_plus_full(v), v) for v in (1, 2, 3)]
+    cases.append((SetFamily.from_sets(3, [[1], [1, 2], [1, 3]]), 1))  # a size equals lambda
+    cases.append((SetFamily.from_sets(4, [[1, 2], [1, 3], [1, 4]]), 1))  # 3 sets on 4 points
+    return cases
+
+
+def test_ryser_matches_the_fraction_loops():
+    """Payloads and errors equal the reference's on the planes PG(2,r) for
+    r <= 13, near pencils, the Fano lambda-design and one-element mutations
+    of each in the first, a middle and the last member."""
+    outcomes = set()
+    for family, lam in _ryser_battery():
+        got = _outcome(ryser_decompose, family, lam)
+        assert got == _outcome(naive_certifier.ryser_decompose, family, lam)
+        outcomes.add(got[2] if isinstance(got, tuple) else json.loads(got)["verdict"])
+    assert {"pass", "constantIntersection", "sizesAboveLambda", "familySize"} <= outcomes
+
+
+def _flip(system, index, coordinate):
+    vectors = [list(v) for v in system.vectors]
+    vectors[index][coordinate] = (vectors[index][coordinate] + 1) % system.q
+    return VectorSystem.from_lists(system.n, system.q, vectors)
+
+
+def _hamming_battery():
+    rng = random.Random(3232)
+    cases = []
+    for v in (1, 2, 3, 5, 6, 8):
+        system = hadamard_plus_full(v).to_vector_system()
+        for p in (3, 5, 7, 11, 13):
+            cases += [(system, p, 2 * v), (system, p, 2 * v + p), (system, p, 2 * v + 1)]
+        # One coordinate changed in the first, a middle and the last member.
+        for index in (0, len(system) // 2, len(system) - 1):
+            cases.append((_flip(system, index, rng.randrange(system.n)), 5 if v % 5 else 7, 2 * v))
+    cases.append((VectorSystem.from_lists(1, 11, [[i] for i in range(11)]), 11, 1))
+    cases.append((VectorSystem.from_lists(2, 3, [[0, 0], [1, 1], [2, 2], [0, 1], [1, 2]]), 3, 2))
+    for _ in range(60):
+        n, q = rng.randint(1, 4), rng.randint(2, 5)
+        count = rng.randint(2, min(8, q**n))
+        rows = rng.sample(list(product(range(q), repeat=n)), count)
+        cases.append((VectorSystem.from_lists(n, q, rows), rng.choice([5, 7, 11]), rng.randint(1, 2 * n)))
+    # q above the member count: each column is relabelled before packing.
+    cases.append((VectorSystem.from_lists(3, 1000, [[5, 999, 7], [999, 5, 7], [7, 7, 5]]), 1009, 2))
+    cases.append((VectorSystem.from_lists(3, 1000, [[5, 999, 7], [999, 5, 7], [5, 7, 999]]), 1009, 2))
+    return cases
+
+
+def test_hamming_tight_matches_the_tuple_loops():
+    """Payloads and errors equal the reference's on hadamard_plus_full(v)
+    for v <= 8 over several (p, lambda), on one-coordinate mutations of the
+    first, a middle and the last member, and on seeded q-ary systems."""
+    outcomes = set()
+    for system, p, lam in _hamming_battery():
+        got = _outcome(hamming_tight_certificate, system, p, lam)
+        assert got == _outcome(naive_certifier.hamming_tight_certificate, system, p, lam)
+        outcomes.add(got[2] if isinstance(got, tuple) else json.loads(got)["verdict"])
+    assert {"pass", "not-applicable", "distancesCongruent", "lambdaNonzero"} <= outcomes
+
+
+@pytest.mark.parametrize("index", ["first", "middle", "last"])
+def test_hamming_tight_mutation_names_the_first_failing_pair(index):
+    system = hadamard_plus_full(8).to_vector_system()
+    member = {"first": 0, "middle": 16, "last": 31}[index]
+    with pytest.raises(HypothesisViolationError) as err:
+        hamming_tight_certificate(_flip(system, member, 3), 17, 16)
+    other = 1 if member == 0 else 0
+    assert f"between members {min(member, other)} and {max(member, other)} is not" in str(err.value)
+
+
+HUGE_PRIME = 2**31 - 1
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        ([[0, 0], [1, 1], [HUGE_PRIME - 1, 2]], "not-applicable"),
+        ([[0, 0], [1, 0], [HUGE_PRIME - 1, HUGE_PRIME - 1]],
+         "distance 1 between members 0 and 1 is not 2 mod 2147483647"),
+    ],
+    ids=["pairs-pass", "pairs-fail"],
+)
+def test_hamming_tight_huge_alphabet_packs_in_small_slots(rows, expected):
+    """q = p = 2^31 - 1 with three members: the slots are three bits wide,
+    not q, so the report or error is the reference's, in well under a
+    second and without an allocation that grows with q."""
+    system = VectorSystem.from_lists(2, HUGE_PRIME, rows)
+    tracemalloc.start()
+    started = time.monotonic()
+    try:
+        got = _outcome(hamming_tight_certificate, system, HUGE_PRIME, 2)
+        elapsed = time.monotonic() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5 and peak < 1 << 20
+    assert got == _outcome(naive_certifier.hamming_tight_certificate, system, HUGE_PRIME, 2)
+    assert expected in (json.loads(got)["verdict"] if isinstance(got, str) else got[1])

@@ -21,6 +21,7 @@ from basisbound.families import (
     distance_set,
     hamming_distance,
     intersection_set,
+    set_bits,
 )
 
 
@@ -118,6 +119,56 @@ def test_degrees_double_count():
             ],
         )
         assert sum(degrees(fam)) == sum(fam.sizes())
+
+
+def _degrees_by_set_bits(family):
+    out = [0] * family.n
+    for m in family.masks:
+        for i in set_bits(m):
+            out[i] += 1
+    return out
+
+
+def test_degrees_edge_cases():
+    """No sets, no points, and a point that no set contains."""
+    assert degrees(SetFamily(5, ())) == [0] * 5
+    assert degrees(SetFamily(0, ())) == []
+    assert degrees(SetFamily(0, (0, 0))) == []
+    assert degrees(SetFamily.from_sets(4, [[1, 4], [], [4]])) == [1, 0, 0, 2]
+    assert degrees(SetFamily.from_sets(70, [[70], [1, 70]])) == [1] + [0] * 68 + [2]
+
+
+def test_degrees_match_a_set_bits_count():
+    import random
+
+    rng = random.Random(32)
+    for _ in range(200):
+        n = rng.choice([1, 2, 7, 63, 64, 65, 200])
+        density = rng.random()
+        masks = tuple(
+            sum(1 << i for i in range(n) if rng.random() < density) for _ in range(rng.randint(0, 12))
+        )
+        family = SetFamily(n, masks)
+        assert degrees(family) == _degrees_by_set_bits(family)
+
+
+def test_element_and_entry_checks():
+    """A plain int is settled by its type; an int subclass is still read,
+    and a bool, a float or a string is refused with the same message."""
+
+    class Label(int):
+        pass
+
+    assert SetFamily.from_sets(3, [[Label(2), 3]]).masks == (0b110,)
+    assert VectorSystem.from_lists(2, 3, [[Label(2), 0]]).vectors == ((2, 0),)
+    for bad in (True, 2.0, "2", None, 0, 4, -1):
+        with pytest.raises(MalformedInputError) as err:
+            SetFamily.from_sets(3, [[1, bad]])
+        assert str(err.value) == f"element {bad!r} is not an integer in [1, 3]"
+    for bad in (True, 1.0, "1", None, 3, -1):
+        with pytest.raises(MalformedInputError) as err:
+            VectorSystem.from_lists(2, 3, [[0, bad]])
+        assert str(err.value) == f"entry not an integer in [0, 2] in {(0, bad)}"
 
 
 def test_family_vector_roundtrip():

@@ -14,7 +14,7 @@ from .certifier import (
     Certificate,
     certify_independence,
     hamming_tight_certificate,
-    indicator_poly,
+    indicator_polys,
     mod_design_certificate,
     neumaier_check,
     ryser_decompose,

@@ -11,10 +11,10 @@ so the evaluation matrix is diagonal and the coefficients of the constant
 1 are read off its diagonal (Ryser's are stated in closed form).  They are
 checked by exact re-substitution, not by an elimination; the one
 elimination engine (`solve_linear`) runs only on a two-distance Gram whose
-evaluation matrix is not diagonal, and on the interpolation systems of
-`indicator_poly`.  Member functions are evaluated from the data directly:
-a hamming-tight member at another is n minus one popcount of the two packed
-one-hot, minus lambda; the two-distance members are products of Gram-entry
+evaluation matrix is not diagonal.  Member functions are evaluated from
+the data directly: a hamming-tight member at another is n minus one
+popcount of the two packed one-hot, minus lambda, and its indicators are
+in Lagrange form; the two-distance members are products of Gram-entry
 differences, one per distinct value in one count of the Gram's entries.
 Both sides of every identity are computed by independent code paths.
 An identity's `left` and `right` are, as a rule, two exact values
@@ -34,13 +34,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from itertools import accumulate
 
 from .bounds import two_distance_max
 from .constructions import GramTwoDistance
 from .errors import (
     HypothesisViolationError,
     MalformedInputError,
-    ResourceGuardError,
     SingularSystemError,
 )
 from .exactfield import (
@@ -58,11 +58,6 @@ from .exactfield import (
 from .families import SetFamily, VectorSystem, degrees, set_bits
 
 FLOAT_TOLERANCE = 1e-9
-
-# The hamming-tight indicators solve one q x q Vandermonde system per
-# symbol, about q^4 residue products: on a 2-core Xeon VM, Python 3.11,
-# q = 64 (2^24 products) takes about 0.3 s and q = 120 about 2 s.
-MAX_INTERPOLATION_WORK = 1 << 24
 
 PASS = "pass"
 FAIL = "fail"
@@ -165,20 +160,26 @@ def certify_independence(b: ExactMatrix) -> Certificate:
 # Tight constant-distance families over F_p
 
 
-def indicator_poly(a: int, q: int, p: PrimeFieldCtx) -> list[int]:
-    """Coefficients over F_p of the minimal-degree polynomial that is 0 at
-    a and 1 at every other point of [0, q-1]; degree at most q-1.  They
-    solve the q x q Vandermonde system on the nodes 0..q-1, whose
-    re-substitution checks the interpolation."""
+def indicator_polys(q: int, p: PrimeFieldCtx):
+    """l_0, ..., l_{q-1} over F_p, q coefficients each, lowest degree first:
+    l_a is 0 at a and 1 elsewhere on [0, q-1].  In Lagrange form
+    l_a = 1 - P(x) / ((x - a) P'(a)), with P = prod_t (x - t) built once and
+    P'(a) = (-1)^(q-1-a) a! (q-1-a)!, each is one synthetic division."""
     if p.p < q:
         raise HypothesisViolationError(f"need p >= q, got p={p.p}, q={q}", clause="pGeqQ")
-    if not 0 <= a < q:
-        raise MalformedInputError(f"symbol {a} outside [0, {q - 1}]")
-    vandermonde = ExactMatrix(p, [[pow(t, k, p.p) for k in range(q)] for t in range(q)])
-    coeffs = solve_linear(vandermonde, [int(t != a) for t in range(q)])
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+    m, big_p, fact = p.p, [1], [1]
+    for t in range(q):
+        big_p = [(c_prev - t * c) % m for c_prev, c in zip([0] + big_p, big_p + [0])]
+        fact.append(fact[-1] * (t + 1) % m)
+
+    def indicator(a):
+        scale = -pow((-1) ** (q - 1 - a) * fact[a] * fact[q - 1 - a], -1, m)
+        quotient = accumulate(big_p[:0:-1], lambda b, c: (c + a * b) % m)
+        coeffs = [b * scale % m for b in quotient][::-1]
+        coeffs[0] = (coeffs[0] + 1) % m
+        return coeffs
+
+    return map(indicator, range(q))
 
 
 def _packed_members(vectors, q: int) -> list[int]:
@@ -198,16 +199,16 @@ def hamming_tight_certificate(system: VectorSystem, p: int, lam: int) -> Certifi
     bound n(q-1) with one extra member.
 
     The member functions are f_a(x) = sum_i l_{a_i}(x_i) - lambda over F_p,
-    where l_a is `indicator_poly(a)`: 0 at a and 1 elsewhere on [0, q-1].
+    where l_a, from `indicator_polys`, is 0 at a and 1 elsewhere on [0, q-1].
     So f_a(h) = d_H(a, h) - lambda: n minus one popcount of two packed
     members (`_packed_members`), and, summed at (j,...,j), N n minus the
     count of entries j.  The hypotheses (every distance congruent to lambda,
     lambda nonzero mod p) make the evaluation matrix -lambda I, so the
     constant 1 is the combination with every coefficient -1/lambda.  That
-    combination is re-expanded over the monomial coefficients of the l_a,
+    combination is re-expanded over the monomial coefficients of the l_a
+    (Lagrange form, no elimination), count * l_a per column and symbol,
     independently of the distances, and the forced congruence q*lambda =
-    n(q-1)+1 mod p is checked.  A tight system with q^4 >
-    MAX_INTERPOLATION_WORK is refused before the l_a are interpolated.
+    n(q-1)+1 mod p is checked.
     """
     ctx = PrimeFieldCtx(p)
     p_value = ctx.p
@@ -216,8 +217,10 @@ def hamming_tight_certificate(system: VectorSystem, p: int, lam: int) -> Certifi
         raise HypothesisViolationError(
             f"need p >= q, got p={p_value}, q={q}", clause="pGeqQ"
         )
+    if lam <= 0:
+        raise HypothesisViolationError(f"lambda must be positive: {lam}", clause="lambdaPositive")
     lam_res = lam % p_value
-    if lam <= 0 or lam_res == 0:
+    if lam_res == 0:
         raise HypothesisViolationError(
             f"lambda = {lam} is zero mod {p_value}", clause="lambdaNonzero"
         )
@@ -263,21 +266,17 @@ def hamming_tight_certificate(system: VectorSystem, p: int, lam: int) -> Certifi
         _equal("evaluation_matrix_nonsingular", QQ, member_count, member_count),
         _equal("coefficients_equal_minus_inverse_lambda", ctx, [alpha], [alpha]),
     ]
-    if q**4 > MAX_INTERPOLATION_WORK:
-        raise ResourceGuardError(
-            f"interpolating {q} indicators: work {q**4} exceeds the guard {MAX_INTERPOLATION_WORK}"
-        )
-    # Re-expand alpha sum_t f_t over the monomials: slot 0 holds the
-    # constant, slot 1+i(q-1)+(j-1) the monomial x_i^j.
-    indicators = [indicator_poly(a, q, ctx) for a in range(q)]
-    combo = [0] * size_target
-    for vec in vectors:
-        combo[0] -= lam_res
-        for i, a_i in enumerate(vec):
-            la = indicators[a_i]
-            combo[0] += la[0]
-            for j in range(1, len(la)):
-                combo[1 + i * (q - 1) + (j - 1)] += la[j]
+    # Re-expand alpha sum_t f_t over the monomials, count_i[a] l_a per column
+    # i and symbol a: slot 0 holds the constant, slot 1+i(q-1)+(j-1) x_i^j.
+    column_counts = [Counter(column) for column in zip(*vectors)]
+    combo = [-member_count * lam_res] + [0] * (size_target - 1)
+    for a, la in enumerate(indicator_polys(q, ctx)):
+        head, tail = la[0], la[1:]
+        for i, counts in enumerate(column_counts):
+            c = counts[a]
+            combo[0] += c * head
+            row = slice(1 + i * (q - 1), 1 + (i + 1) * (q - 1))
+            combo[row] = [s + c * t for s, t in zip(combo[row], tail)]
     combo = [alpha * c % p_value for c in combo]
     identities.append(_equal("combination_constant_term", ctx, combo[0], ctx.one))
     nonconstant = sum(1 for c in combo[1:] if c)
@@ -285,7 +284,7 @@ def hamming_tight_certificate(system: VectorSystem, p: int, lam: int) -> Certifi
 
     minus_lam = (-lam_res) % p_value
     for j in range(q):
-        total = (member_count * (n - lam) - sum(f.count(j) for f in vectors)) % p_value
+        total = (member_count * (n - lam) - sum(c[j] for c in column_counts)) % p_value
         identities.append(_equal(f"member_sum_at_constant_vector_{j}", ctx, total, minus_lam))
 
     left, right = q * lam_res % p_value, (n * (q - 1) + 1) % p_value

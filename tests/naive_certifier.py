@@ -1,24 +1,18 @@
 """Reference certifiers for the differential tests: `hamming_tight_certificate`
 and `ryser_decompose` as they ran before their hot loops moved onto
 integers.  The hamming-tight pair check and member sums loop over tuples
-with `hamming_distance`; Ryser's reciprocal sums add one `Fraction` per
-incidence and evaluate every kappa-dependent value once per point; degrees
-walk the set bits of every mask.  Slow and simple on purpose."""
+with `hamming_distance`, each indicator solves a q x q Vandermonde system
+(`indicator_poly`), and the combination is re-expanded entry by entry;
+Ryser's reciprocal sums add one `Fraction` per incidence and evaluate
+every kappa-dependent value once per point; degrees walk the set bits of
+every mask.  Slow and simple on purpose."""
 
 import math
 from fractions import Fraction
 
-from basisbound.certifier import (
-    MAX_INTERPOLATION_WORK,
-    Identity,
-    _certificate,
-    _equal,
-    _fisher_kappa,
-    _format_list,
-    indicator_poly,
-)
-from basisbound.errors import HypothesisViolationError, ResourceGuardError
-from basisbound.exactfield import QQ, PrimeFieldCtx
+from basisbound.certifier import Identity, _certificate, _equal, _fisher_kappa, _format_list
+from basisbound.errors import HypothesisViolationError, MalformedInputError
+from basisbound.exactfield import QQ, ExactMatrix, PrimeFieldCtx, solve_linear
 from basisbound.families import hamming_distance, set_bits
 
 
@@ -30,6 +24,21 @@ def degrees(family):
     return out
 
 
+def indicator_poly(a, q, p):
+    """Coefficients over F_p of the minimal-degree polynomial that is 0 at
+    a and 1 at every other point of [0, q-1]: the solution of the q x q
+    Vandermonde system on the nodes 0..q-1, trailing zeros trimmed."""
+    if p.p < q:
+        raise HypothesisViolationError(f"need p >= q, got p={p.p}, q={q}", clause="pGeqQ")
+    if not 0 <= a < q:
+        raise MalformedInputError(f"symbol {a} outside [0, {q - 1}]")
+    vandermonde = ExactMatrix(p, [[pow(t, k, p.p) for k in range(q)] for t in range(q)])
+    coeffs = solve_linear(vandermonde, [int(t != a) for t in range(q)])
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
 def hamming_tight_certificate(system, p, lam):
     ctx = PrimeFieldCtx(p)
     p_value = ctx.p
@@ -38,8 +47,10 @@ def hamming_tight_certificate(system, p, lam):
         raise HypothesisViolationError(
             f"need p >= q, got p={p_value}, q={q}", clause="pGeqQ"
         )
+    if lam <= 0:
+        raise HypothesisViolationError(f"lambda must be positive: {lam}", clause="lambdaPositive")
     lam_res = lam % p_value
-    if lam <= 0 or lam_res == 0:
+    if lam_res == 0:
         raise HypothesisViolationError(
             f"lambda = {lam} is zero mod {p_value}", clause="lambdaNonzero"
         )
@@ -82,10 +93,6 @@ def hamming_tight_certificate(system, p, lam):
         _equal("evaluation_matrix_nonsingular", QQ, member_count, member_count),
         _equal("coefficients_equal_minus_inverse_lambda", ctx, [alpha], [alpha]),
     ]
-    if q**4 > MAX_INTERPOLATION_WORK:
-        raise ResourceGuardError(
-            f"interpolating {q} indicators: work {q**4} exceeds the guard {MAX_INTERPOLATION_WORK}"
-        )
     indicators = [indicator_poly(a, q, ctx) for a in range(q)]
     combo = [0] * size_target
     for vec in vectors:

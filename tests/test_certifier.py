@@ -3,6 +3,7 @@ congruences and the Ryser dichotomy."""
 
 import hashlib
 import json
+import math
 import random
 import time
 import tracemalloc
@@ -15,7 +16,7 @@ import naive_certifier
 from basisbound.certifier import (
     certify_independence,
     hamming_tight_certificate,
-    indicator_poly,
+    indicator_polys,
     mod_design_certificate,
     neumaier_check,
     ryser_decompose,
@@ -104,23 +105,43 @@ def test_independence_matches_bruteforce_enumeration():
 
 
 def test_indicator_poly_binary():
-    p5 = PrimeFieldCtx(5)
-    assert indicator_poly(0, 2, p5) == [0, 1]  # x
-    assert indicator_poly(1, 2, p5) == [1, 4]  # 1 - x
+    assert list(indicator_polys(2, PrimeFieldCtx(5))) == [[0, 1], [1, 4]]  # x, 1 - x
 
 
 @pytest.mark.parametrize("q, p", [(3, 5), (4, 5), (4, 7), (5, 7)])
 def test_indicator_poly_ternary_values(q, p):
-    for a in range(q):
-        coeffs = indicator_poly(a, q, PrimeFieldCtx(p))
-        assert len(coeffs) <= q
+    for a, coeffs in enumerate(indicator_polys(q, PrimeFieldCtx(p))):
+        assert len(coeffs) == q and coeffs[-1] != 0
         values = [sum(c * x**k for k, c in enumerate(coeffs)) % p for x in range(q)]
         assert values == [int(x != a) for x in range(q)]
 
 
 def test_indicator_poly_needs_p_geq_q():
-    with pytest.raises(HypothesisViolationError):
-        indicator_poly(0, 3, PrimeFieldCtx(2))
+    """Raised by the call itself, before any indicator is asked for."""
+    with pytest.raises(HypothesisViolationError) as err:
+        indicator_polys(3, PrimeFieldCtx(2))
+    assert err.value.clause == "pGeqQ"
+
+
+def _least_primes_from(q, count):
+    primes = []
+    x = max(q, 2)
+    while len(primes) < count:
+        if all(x % d for d in range(2, math.isqrt(x) + 1)):
+            primes.append(x)
+        x += 1
+    return primes
+
+
+def test_indicator_polys_match_the_vandermonde_solve():
+    """The Lagrange-form indicators equal the reference's q x q Vandermonde
+    solves for every q <= 24 over the three least primes p >= q, and for
+    q = 64 over F_67."""
+    cases = [(q, p) for q in range(2, 25) for p in _least_primes_from(q, 3)] + [(64, 67)]
+    for q, p in cases:
+        ctx = PrimeFieldCtx(p)
+        expected = [naive_certifier.indicator_poly(a, q, ctx) for a in range(q)]
+        assert list(indicator_polys(q, ctx)) == expected, (q, p)
 
 
 # -- tight constant-distance certificates ------------------------------------
@@ -137,17 +158,23 @@ def test_hamming_tight_hadamard_v1():
 
 def test_hamming_tight_combination_check_independent_of_evaluation(monkeypatch):
     """The evaluation matrix comes from Hamming distances, the combination
-    check from the indicator coefficients: a wrong indicator polynomial
-    fails only the combination identities."""
+    check from the indicator coefficients: a wrong constant term of every
+    indicator fails only the constant identity, and a wrong leading
+    coefficient only the nonconstant one."""
     import basisbound.certifier as certifier
 
-    real = certifier.indicator_poly
-    monkeypatch.setattr(
-        certifier, "indicator_poly", lambda a, q, p: [(real(a, q, p)[0] + 1) % p.p] + real(a, q, p)[1:]
+    real = certifier.indicator_polys
+    perturbations = (
+        (lambda la, p: [(la[0] + 1) % p] + la[1:], "combination_constant_term"),
+        (lambda la, p: la[:-1] + [(la[-1] + 1) % p], "combination_nonconstant_terms"),
     )
-    cert = hamming_tight_certificate(hadamard_plus_full(2).to_vector_system(), 5, 4)
-    failed = {i.name for i in cert.identities if not i.holds}
-    assert cert.verdict == "fail" and failed == {"combination_constant_term"}
+    for perturb, identity in perturbations:
+        monkeypatch.setattr(
+            certifier, "indicator_polys", lambda q, p: (perturb(la, p.p) for la in real(q, p))
+        )
+        cert = hamming_tight_certificate(hadamard_plus_full(2).to_vector_system(), 5, 4)
+        failed = {i.name for i in cert.identities if not i.holds}
+        assert cert.verdict == "fail" and failed == {identity}
 
 
 def test_hamming_tight_hadamard_v2():
@@ -738,14 +765,27 @@ def _flip(system, index, coordinate):
 def _hamming_battery():
     rng = random.Random(3232)
     cases = []
-    for v in (1, 2, 3, 5, 6, 8):
+    for v in (1, 2, 3, 5, 6, 8, 12, 20):
         system = hadamard_plus_full(v).to_vector_system()
-        for p in (3, 5, 7, 11, 13):
-            cases += [(system, p, 2 * v), (system, p, 2 * v + p), (system, p, 2 * v + 1)]
+        for p in (3, 5, 7, 11, 13, 17, 19, 23):
+            cases += [(system, p, lam) for lam in (2 * v, 2 * v + p, 2 * v + 1, 2 * v - p, p)]
         # One coordinate changed in the first, a middle and the last member.
         for index in (0, len(system) // 2, len(system) - 1):
             cases.append((_flip(system, index, rng.randrange(system.n)), 5 if v % 5 else 7, 2 * v))
-    cases.append((VectorSystem.from_lists(1, 11, [[i] for i in range(11)]), 11, 1))
+    # Tight q-ary systems: the q symbols of one coordinate, every q <= 24
+    # over the three least primes p >= q and a few larger q once each.
+    one_coordinate = [(q, p) for q in range(2, 25) for p in _least_primes_from(q, 3)]
+    for q, p in one_coordinate + [(32, 37), (48, 53), (64, 67)]:
+        cases.append((VectorSystem.from_lists(1, q, [[i] for i in range(q)]), p, 1))
+    # Two coordinates, (i, s(i)) for a permutation s, and with q - 1 of its
+    # rows shifted in the second coordinate up to the tight size 2q - 1.
+    for q in range(2, 12):
+        perm = rng.sample(range(q), q)
+        rows = [[i, perm[i]] for i in range(q)]
+        p = _least_primes_from(q, 1)[0]
+        cases.append((VectorSystem.from_lists(2, q, rows), p, 2))
+        shifted = rows + [[i, (perm[i] + 1) % q] for i in range(q - 1)]
+        cases.append((VectorSystem.from_lists(2, q, shifted), p, 2))
     cases.append((VectorSystem.from_lists(2, 3, [[0, 0], [1, 1], [2, 2], [0, 1], [1, 2]]), 3, 2))
     for _ in range(60):
         n, q = rng.randint(1, 4), rng.randint(2, 5)
@@ -759,15 +799,18 @@ def _hamming_battery():
 
 
 def test_hamming_tight_matches_the_tuple_loops():
-    """Payloads and errors equal the reference's on hadamard_plus_full(v)
-    for v <= 8 over several (p, lambda), on one-coordinate mutations of the
-    first, a middle and the last member, and on seeded q-ary systems."""
+    """Payloads and errors equal the reference's (tuple distances, Vandermonde
+    indicators, one entry at a time) on hadamard_plus_full(v) for v <= 20
+    over 40 (p, lambda) each, on one-coordinate mutations of the first, a
+    middle and the last member, on tight one-coordinate systems up to
+    q = 64, on two-coordinate permutation systems and on seeded q-ary
+    systems."""
     outcomes = set()
     for system, p, lam in _hamming_battery():
         got = _outcome(hamming_tight_certificate, system, p, lam)
         assert got == _outcome(naive_certifier.hamming_tight_certificate, system, p, lam)
         outcomes.add(got[2] if isinstance(got, tuple) else json.loads(got)["verdict"])
-    assert {"pass", "not-applicable", "distancesCongruent", "lambdaNonzero"} <= outcomes
+    assert {"pass", "not-applicable", "distancesCongruent", "lambdaNonzero", "lambdaPositive"} <= outcomes
 
 
 @pytest.mark.parametrize("index", ["first", "middle", "last"])

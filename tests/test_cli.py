@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -200,16 +201,30 @@ def _payload_sha256(report):
     return hashlib.sha256(json.dumps(report["payload"], indent=2).encode()).hexdigest()
 
 
-def test_certify_hamming_tight_interpolation_guard(tmp_path, capsys):
-    """q symbols cost q Vandermonde solves of size q, about q^4 products:
-    q = 120 is refused with exit 3 before any of them.  Below the guard the
-    payloads are the ones pinned before it existed: the benchmark's
-    hamming-tight job and the 11 one-symbol vectors over F_11."""
+def test_certify_hamming_tight_large_alphabet(tmp_path, capsys):
+    """The indicators are in Lagrange form, O(q^2) in all, so no alphabet
+    size is refused.  q = 120 over F_127 exits 0 with the payload of the
+    Vandermonde reference, and q = 500 over F_503 passes in under 1 s
+    without a q x q table.  The payloads pinned before the closed form are
+    unchanged: the benchmark's hamming-tight job and the 11 one-symbol
+    vectors over F_11."""
     one_symbol = {"n": 1, "q": 120, "vectors": [[i] for i in range(120)]}
-    started = time.monotonic()
     code, report, _ = _certify_hamming_tight(tmp_path, capsys, one_symbol, 127, 1)
-    assert time.monotonic() - started < 0.1
-    assert code == 3 and report["payload"]["kind"] == "ResourceGuardError"
+    assert code == 0 and report["outcome"] == "pass"
+    assert _payload_sha256(report) == "50cdbed3224db9f5718bd7c48272d71c92b9c0e04fcf20657ebd5eca43130268"
+    # Timed untraced: tracemalloc slows each allocation several times over.
+    one_symbol = {"n": 1, "q": 500, "vectors": [[i] for i in range(500)]}
+    started = time.monotonic()
+    code, report, _ = _certify_hamming_tight(tmp_path, capsys, one_symbol, 503, 1)
+    assert time.monotonic() - started < 1.0
+    assert code == 0 and report["outcome"] == "pass"
+    tracemalloc.start()
+    try:
+        code, report, _ = _certify_hamming_tight(tmp_path, capsys, one_symbol, 503, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 2 << 20
     cases = (
         (hadamard_plus_full(8).to_vector_system().to_json_dict(), 17, 16,
          "17d793a9762ed17483f32d183efea77e84f76dabb41573966ce1014a238b23b0"),
@@ -219,6 +234,20 @@ def test_certify_hamming_tight_interpolation_guard(tmp_path, capsys):
     for system, p, lam, digest in cases:
         code, report, _ = _certify_hamming_tight(tmp_path, capsys, system, p, lam)
         assert code == 0 and _payload_sha256(report) == digest
+
+
+def test_certify_hamming_tight_lambda_not_positive(tmp_path, capsys):
+    """lambda <= 0 is refused as not positive (exit 2, clause
+    lambdaPositive), as Ryser refuses it; lambda = 0 mod p with lambda > 0
+    keeps the lambdaNonzero clause."""
+    system = hadamard_plus_full(1).to_vector_system().to_json_dict()
+    code, report, _ = _certify_hamming_tight(tmp_path, capsys, system, 5, -3)
+    assert code == 2 and report["outcome"] == "hypothesis-violation"
+    assert report["payload"]["clause"] == "lambdaPositive"
+    assert "lambda must be positive: -3" in json.dumps(report["payload"])
+    code, report, _ = _certify_hamming_tight(tmp_path, capsys, system, 5, 10)
+    assert code == 2 and report["payload"]["clause"] == "lambdaNonzero"
+    assert "lambda = 10 is zero mod 5" in json.dumps(report["payload"])
 
 
 def test_certify_hamming_tight_500_members(tmp_path, capsys):

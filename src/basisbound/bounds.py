@@ -79,40 +79,26 @@ def uniform_two_intersection_conjecture(n: int, w: int) -> int:
 class ModDistanceHypotheses:
     """Clause-by-clause verdict for the modular constant-distance bound:
     systems in [0,q-1]^n whose pairwise distances are all congruent to
-    lambda mod p have size at most n(q-1), provided every clause holds."""
+    lambda mod p have size at most n(q-1), provided every clause holds.
+    `clauses` maps each clause's report name to its verdict, in report
+    order."""
 
     n: int
     q: int
     p: int
     lam: int
-    p_prime: bool
-    p_geq_q: bool
-    n_nonzero_mod_p: bool
-    lambda_nonzero_mod_p: bool
-    q_lambda_clause: bool
-
-    # (report name, field) of each clause, in report order.
-    CLAUSES = (
-        ("pPrime", "p_prime"),
-        ("pGeqQ", "p_geq_q"),
-        ("nNonzeroModP", "n_nonzero_mod_p"),
-        ("lambdaNonzeroModP", "lambda_nonzero_mod_p"),
-        ("qLambdaClause", "q_lambda_clause"),
-    )
-
-    def clauses(self) -> dict[str, bool]:
-        return {name: getattr(self, field) for name, field in self.CLAUSES}
+    clauses: dict[str, bool]
 
     @property
     def holds(self) -> bool:
-        return all(self.clauses().values())
+        return all(self.clauses.values())
 
     @property
     def bound(self) -> int | None:
         return self.n * (self.q - 1) if self.holds else None
 
     def failing_clauses(self) -> list[str]:
-        return [name for name, ok in self.clauses().items() if not ok]
+        return [name for name, ok in self.clauses.items() if not ok]
 
     def to_json_dict(self):
         return {
@@ -120,7 +106,7 @@ class ModDistanceHypotheses:
             "q": self.q,
             "p": self.p,
             "lambda": self.lam,
-            "clauses": self.clauses(),
+            "clauses": self.clauses,
             "holds": self.holds,
             "bound": self.bound,
         }
@@ -139,17 +125,13 @@ def check_mod_distance_hypotheses(n: int, q: int, p: int, lam: int) -> ModDistan
         raise ResourceGuardError(
             f"modulus {p} exceeds the guard {MAX_MODULUS}: primality is by trial division"
         )
-    verdict = ModDistanceHypotheses(
-        n=n,
-        q=q,
-        p=p,
-        lam=lam,
-        p_prime=is_prime(p),
-        p_geq_q=p >= q,
-        n_nonzero_mod_p=n % p != 0,
-        lambda_nonzero_mod_p=lam % p != 0,
-        q_lambda_clause=(q * lam) % p != (n * (q - 1) + 1) % p,
-    )
+    verdict = ModDistanceHypotheses(n, q, p, lam, {
+        "pPrime": is_prime(p),
+        "pGeqQ": p >= q,
+        "nNonzeroModP": n % p != 0,
+        "lambdaNonzeroModP": lam % p != 0,
+        "qLambdaClause": (q * lam) % p != (n * (q - 1) + 1) % p,
+    })
     if verdict.holds:
         printable(verdict.bound)
     return verdict

@@ -16,7 +16,9 @@ the data directly: a hamming-tight member at another is n minus one
 popcount of the two packed one-hot, minus lambda, and its indicators are
 in Lagrange form; the two-distance members are products of Gram-entry
 differences, one per distinct value in one count of the Gram's entries.
-Both sides of every identity are computed by independent code paths.
+Both sides of every identity are computed by independent code paths,
+but for Ryser's reciprocal sums: kappa's closed form is built from the
+sums on their left sides (sigma), not checked against a second count.
 An identity's `left` and `right` are, as a rule, two exact values
 formatted in the certificate's field, and it holds when they are equal
 (`_equal`); floating point appears only in the optional coordinate-level
@@ -287,7 +289,7 @@ def hamming_tight_certificate(system: VectorSystem, p: int, lam: int) -> Certifi
         total = (member_count * (n - lam) - sum(c[j] for c in column_counts)) % p_value
         identities.append(_equal(f"member_sum_at_constant_vector_{j}", ctx, total, minus_lam))
 
-    left, right = q * lam_res % p_value, (n * (q - 1) + 1) % p_value
+    left, right = q * lam_res % p_value, size_target % p_value
     identities.append(_equal("tightness_congruence", ctx, left, right))
     return _certificate("hamming-tight", hypotheses, coefficients, identities, details)
 
@@ -482,14 +484,11 @@ def mod_design_certificate(family: SetFamily, p: int) -> Certificate:
                 f"sizes of sets 0 and {idx} differ mod {p_value}: {sizes[0]} vs {s}",
                 clause="commonSizeResidue",
             )
-    lam = None
     masks = family.masks
+    lam = (masks[0] & masks[1]).bit_count() % p_value
     for i in range(n):
         for j in range(i + 1, n):
-            inter = (masks[i] & masks[j]).bit_count() % p_value
-            if lam is None:
-                lam = inter
-            elif inter != lam:
+            if (masks[i] & masks[j]).bit_count() % p_value != lam:
                 raise HypothesisViolationError(
                     f"intersections of pair (0,1) and ({i},{j}) differ mod {p_value}",
                     clause="commonIntersectionResidue",
@@ -525,20 +524,14 @@ def mod_design_certificate(family: SetFamily, p: int) -> Certificate:
 # Ryser dichotomy
 
 
-def _fisher_kappa(members, excess, lam: int, n: int) -> list[Fraction]:
+def _fisher_kappa(sigma, scale: int, total: int, lam: int) -> list[Fraction]:
     """kappa = lambda A^{-1} 1 for the incidence matrix A (row j is member
-    j), in closed form.  With d_j = |A_j| - lambda > 0 (`excess`), constant
+    j), in closed form.  With d_j = |A_j| - lambda > 0, constant
     intersection gives A A^T = lambda J + diag(d_j) (Fisher's identity), and
     Sherman-Morrison gives kappa_i = lambda sigma_i / (1 + lambda S), where
-    sigma_i = sum_{j : i in A_j} 1/d_j and S = sum_j 1/d_j.  Both sums are
-    kept as integers over the common multiple of the d_j."""
-    scale = math.lcm(*excess)
-    weights = [scale // d for d in excess]
-    sigma = [0] * n
-    for member, w in zip(members, weights):
-        for i in member:
-            sigma[i] += w
-    denom = scale + lam * sum(weights)
+    sigma_i = sum_{j : i in A_j} 1/d_j and S = sum_j 1/d_j.  Both sums come
+    as integers over L = lcm(d_j) (`scale`): sigma_i L and S L (`total`)."""
+    denom = scale + lam * total
     return [Fraction(lam * s, denom) for s in sigma]
 
 
@@ -549,13 +542,13 @@ def ryser_decompose(family: SetFamily, lam: int) -> Certificate:
     Those hypotheses make the incidence matrix A nonsingular (Fisher's
     identity), so each coordinate monomial x_i has one expansion over the
     member polynomials <x, v_j> - lambda plus a constant, and that constant
-    is kappa_i = lambda (A^{-1} 1)_i.  kappa is stated in closed form
-    (`_fisher_kappa`) and checked by one integer re-substitution over the
-    incidences.  Then verifies the degree identity r_i = kappa_i(n-1) + 1,
-    the per-point and global reciprocal sums, as integers over one common
-    denominator, that at most two kappa values occur, and classifies the
-    family: one value gives the uniform regular alternative, two values
-    give degrees r, r' with kappa + kappa' = 1 and r + r' = n + 1.
+    is kappa_i = lambda (A^{-1} 1)_i.  kappa is stated in closed form from
+    one pass over the incidences (`_fisher_kappa`) and checked by one
+    integer re-substitution over them.  Then verifies the degree identity
+    r_i = kappa_i(n-1) + 1, the per-point and global reciprocal sums, read
+    from that pass, that at most two kappa values occur, and classifies
+    the family: one value gives the uniform regular alternative, two
+    values give degrees r, r' with kappa + kappa' = 1 and r + r' = n + 1.
     """
     n = family.n
     if lam <= 0:
@@ -592,8 +585,15 @@ def ryser_decompose(family: SetFamily, lam: int) -> Certificate:
 
     members = [set_bits(m) for m in masks]
     point_degrees = degrees(family)
-    excess = [s - lam for s in sizes]
-    kappa = _fisher_kappa(members, excess, lam, n)
+    # sigma and S over L = lcm(d_j), d_j = |A_j| - lambda (`_fisher_kappa`).
+    scale = math.lcm(*(s - lam for s in sizes))
+    weights = [scale // (s - lam) for s in sizes]
+    sigma = [0] * n
+    for member, w in zip(members, weights):
+        for i in member:
+            sigma[i] += w
+    total = sum(weights)
+    kappa = _fisher_kappa(sigma, scale, total, lam)
     # Fisher's identity makes A nonsingular, so every point lies in a
     # member and sigma_i > 0; sigma_i <= S then gives 0 < kappa_i < 1, and
     # neither 1/kappa_i nor 1/(1 - kappa_i) divides by zero.
@@ -612,17 +612,11 @@ def ryser_decompose(family: SetFamily, lam: int) -> Certificate:
         _equal("degree_from_kappa", QQ, point_degrees, [degree[k] for k in kappa]),
     ]
 
-    # Reciprocal sums in integers over L = lcm(d_j), apart from kappa's sigma.
-    scale = math.lcm(*excess)
-    weights = [scale // d for d in excess]
-    point_sums = [0] * n
-    for member, w in zip(members, weights):
-        for i in member:
-            point_sums[i] += w
-    point_sums = [Fraction(x, scale) for x in point_sums]
+    # The reciprocal sums sigma_i and S, read from kappa's integers.
+    point_sums = [Fraction(x, scale) for x in sigma]
     identities.append(_equal("point_reciprocal_sum", QQ, point_sums, [inverse[k] for k in kappa]))
 
-    global_sum = Fraction(sum(weights), scale)
+    global_sum = Fraction(total, scale)
     per_point = list(dict.fromkeys(1 / k + c - Fraction(1, lam) for k, c in inverse.items()))
     identities.append(
         Identity(

@@ -163,8 +163,7 @@ def _bound_report(kind, result):
 def _construct_report(kind, built):
     data = built.to_json_dict()
     if isinstance(built, SetFamily):
-        sets_sorted = sorted(list(s) for s in built.sets)
-        summary = {"n": built.n, "sets": len(built), "sets_sorted": sets_sorted}
+        summary = {"n": built.n, "sets": len(built), "sets_sorted": sorted(data["sets"])}
     else:
         summary = {key: data[key] for key in ("n", "N", "a", "b")}
     return "pass", {"name": kind, "summary": summary, "data": data}, data
@@ -356,8 +355,10 @@ def _run_verify(args):
             filter_substring=args.filter,
             log=lambda line: print(line, file=sys.stderr),
         )
-        ok = all(r["passed"] for r in rows) and rows
-        payload = {"criteria": rows, "all_passed": bool(ok)}
+        if not rows:
+            raise UsageError(f"no criterion matches --filter {args.filter!r}")
+        ok = all(r["passed"] for r in rows)
+        payload = {"criteria": rows, "all_passed": ok}
         return ("pass" if ok else "fail"), payload, payload
 
     return [args.filter or ""], run

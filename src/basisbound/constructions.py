@@ -196,8 +196,7 @@ def hadamard_design(v: int) -> SetFamily:
     residues = {(x * x) % m for x in range(1, m)} - {0}
     blocks = [[(x + t) % m + 1 for x in residues] for t in range(m)]
     family = SetFamily.from_sets(m, blocks)
-    if v > 1:
-        _check_design(family, m, 2 * v - 1, v - 1)
+    _check_design(family, m, 2 * v - 1, v - 1)
     return family
 
 

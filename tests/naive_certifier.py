@@ -3,14 +3,16 @@ and `ryser_decompose` as they ran before their hot loops moved onto
 integers.  The hamming-tight pair check and member sums loop over tuples
 with `hamming_distance`, each indicator solves a q x q Vandermonde system
 (`indicator_poly`), and the combination is re-expanded entry by entry;
-Ryser's reciprocal sums add one `Fraction` per incidence and evaluate
-every kappa-dependent value once per point; degrees walk the set bits of
-every mask.  Slow and simple on purpose."""
+Ryser's kappa has its own closed form here (`_fisher_kappa`), so the
+differential test does not share the code it checks, and its reciprocal
+sums add one `Fraction` per incidence and evaluate every kappa-dependent
+value once per point; degrees walk the set bits of every mask.  Slow and
+simple on purpose."""
 
 import math
 from fractions import Fraction
 
-from basisbound.certifier import Identity, _certificate, _equal, _fisher_kappa, _format_list
+from basisbound.certifier import Identity, _certificate, _equal, _format_list
 from basisbound.errors import HypothesisViolationError, MalformedInputError
 from basisbound.exactfield import QQ, ExactMatrix, PrimeFieldCtx, solve_linear
 from basisbound.families import hamming_distance, set_bits
@@ -22,6 +24,21 @@ def degrees(family):
         for i in set_bits(m):
             out[i] += 1
     return out
+
+
+def _fisher_kappa(members, excess, lam, n):
+    """kappa = lambda A^{-1} 1 by Fisher's identity and Sherman-Morrison:
+    kappa_i = lambda sigma_i / (1 + lambda S), with sigma_i and S the sums
+    of 1/d_j (`excess`) over the members through i and over all members,
+    kept as integers over the common multiple of the d_j."""
+    scale = math.lcm(*excess)
+    weights = [scale // d for d in excess]
+    sigma = [0] * n
+    for member, w in zip(members, weights):
+        for i in member:
+            sigma[i] += w
+    denom = scale + lam * sum(weights)
+    return [Fraction(lam * s, denom) for s in sigma]
 
 
 def indicator_poly(a, q, p):

@@ -2,8 +2,9 @@
 renamed or removed target would only show up as an "absent" metric in a
 traced benchmark run.  Resolve every target here the way
 `perfbench/tracing.py` does (`Tracer.hooks`), so a rename fails the tests.
-Then run one traced round of the `certify` and `search-deep` job lists in
-process, as `perfbench/worker.py` does, and check that every job passes the
+Then run one traced round of each workload's job list (`certify`,
+`search-deep` and the 223-search `search-sweep`) in process, as
+`perfbench/worker.py` does, and check that every job passes the
 benchmark's oracle, that the round entered every hooked span it should,
 and that the round's metrics are strict JSON."""
 
@@ -82,9 +83,10 @@ ENTERED = {
         "kernel.extend_max", "kernel.witness",
     },
 }
+ENTERED["search-sweep"] = ENTERED["search-deep"]
 
 
-@pytest.mark.parametrize("workload", ["certify", "search-deep"])
+@pytest.mark.parametrize("workload", ["certify", "search-deep", "search-sweep"])
 def test_traced_round_metrics_are_strict_json(tmp_path, workload):
     tracer, entered, metrics = _traced_round(workload, tmp_path)
     assert entered == ENTERED[workload]

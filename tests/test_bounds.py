@@ -137,7 +137,7 @@ def test_cheap_inputs_with_large_arguments_still_compute():
     big = 10**200
     assert delsarte_bound(big, 2, 1) == big + 1
     assert msd_bound(big, 2) == two_distance_max(big) == big * (big + 3) // 2
-    assert check_mod_distance_hypotheses(5, 2, (1 << 31) - 1, 1).p_prime
+    assert check_mod_distance_hypotheses(5, 2, (1 << 31) - 1, 1).clauses["pPrime"]
 
 
 def test_unprintable_bounds_are_refused():

@@ -648,12 +648,73 @@ def test_usage_errors_exit_3(capsys):
         ["bound", "delsarte", "--n", "3000000", "--q", "2", "--s", "3000000"],
         ["bound", "msd", "--n", "3000000", "--s", "3000000"],
         ["bound", "msd", "--n", "10000", "--s", "10000"],
+        ["verify", "--filter", "nosuch"],
     ):
         code, report, err = run_cli(capsys, *argv)
         assert code == 3, argv
         assert report["outcome"] == "error" and report["command"] == argv
         assert report["payload"]["error"] and report["payload"]["kind"]
         assert err.startswith("error: ")
+
+
+PENTAGON = pentagon().to_json_dict()
+SEARCH_3 = ["search", "--n", "3", "--q", "2", "--pred"]
+
+
+@pytest.mark.parametrize(
+    "argv, document, code, key, value, message",
+    [
+        (["certify", "independence", "--matrix"], {"field": {"kind": "octonion"}, "entries": [[1]]},
+         3, "kind", "MalformedInputError", "unknown field kind 'octonion'"),
+        (SEARCH_3 + ["dist-set", "--dist-list", "1,x"], None, 3, "kind", "UsageError",
+         "bad --dist-list: invalid literal for int() with base 10: 'x'"),
+        (["certify", "hamming-tight", "--p", "3", "--lambda", "1", "--vectors"],
+         {"n": 1, "q": 5, "vectors": [[0], [1], [2], [3], [4]]},
+         2, "clause", "pGeqQ", "need p >= q, got p=3, q=5"),
+        (["search", "--n", "0", "--q", "2", "--pred", "dist-const", "--lambda", "1"], None,
+         3, "kind", "MalformedInputError", "coordinate count must be positive: 0"),
+        (SEARCH_3 + ["dist-set"], None,
+         3, "kind", "MalformedInputError", "distance-set predicate needs a distance set"),
+        (SEARCH_3 + ["dist-mod", "--lambda", "1"], None,
+         3, "kind", "MalformedInputError", "distance-mod predicate needs lambda and p"),
+        (SEARCH_3 + ["dist-mod", "--lambda", "1", "--p", "1"], None,
+         3, "kind", "MalformedInputError", "modulus must be at least 2: 1"),
+        (SEARCH_3 + ["dist-mod", "--lambda", "0", "--p", "3"], None,
+         2, "clause", None, "lambda must be positive: 0"),
+        (["certify", "two-distance", "--gram"],
+         {**PENTAGON, "gram": [[*PENTAGON["gram"][0][:1], PENTAGON["b"], *PENTAGON["gram"][0][2:]],
+                               *PENTAGON["gram"][1:]]},
+         3, "kind", "MalformedInputError", "gram matrix must be symmetric"),
+        (["certify", "two-distance", "--gram"], {**PENTAGON, "coords": PENTAGON["coords"][:4]},
+         3, "kind", "MalformedInputError", "coordinate count does not match point count"),
+        (["certify", "two-distance", "--gram"], {**PENTAGON, "a": "1sqrt(5)"},
+         3, "kind", "MalformedInputError", "missing sign between terms: '1sqrt(5)'"),
+        (["construct", "lambda-design", "--pg", "2", "--block-index", "7"], None,
+         3, "kind", "MalformedInputError", "block index 7 out of range"),
+        (["bound", "msd", "--n", "0", "--s", "2"], None,
+         2, "clause", None, "n and s must be positive: n=0, s=2"),
+        (["bound", "two-dist-max", "--n", "0"], None,
+         2, "clause", None, "dimension must be positive: 0"),
+        (["certify", "hamming-tight", "--p", "3", "--lambda", "1", "--vectors"],
+         {"n": 0, "q": 2, "vectors": []},
+         3, "kind", "MalformedInputError", "coordinate count out of range: 0"),
+    ],
+    ids=["matrix-unknown-field-kind", "dist-list-not-int", "hamming-tight-p-below-q",
+         "search-n-zero", "dist-set-without-list", "dist-mod-without-p", "dist-mod-p-one",
+         "dist-mod-lambda-zero", "gram-asymmetric", "gram-coords-count", "gram-a-malformed",
+         "lambda-design-block-index", "msd-n-zero", "two-dist-max-n-zero", "vectors-n-zero"],
+)
+def test_error_exits(tmp_path, capsys, argv, document, code, key, value, message):
+    """Each user-reachable error exit: its code, its exception's kind (exit
+    3) or its clause (exit 2), and its message, on stdout and stderr."""
+    if document is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(document))
+        argv = argv + [str(path)]
+    got, report, err = run_cli(capsys, *argv)
+    assert got == code
+    assert report["payload"] == {"error": message, key: value}
+    assert err == f"error: {message}\n"
 
 
 def test_unwritable_out_reports_error(tmp_path, capsys):

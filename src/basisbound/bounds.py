@@ -31,9 +31,9 @@ def delsarte_bound(n: int, q: int, s: int) -> int:
     """Size bound sum_{i<=s} C(n,i)(q-1)^i for systems with at most s
     distinct pairwise Hamming distances."""
     if q <= 1:
-        raise HypothesisViolationError(f"alphabet size must exceed 1: {q}")
+        raise HypothesisViolationError(f"alphabet size must exceed 1: {q}", clause="qAboveOne")
     if not 0 < s <= n:
-        raise HypothesisViolationError(f"distance count s={s} outside (0, {n}]")
+        raise HypothesisViolationError(f"distance count s={s} outside (0, {n}]", clause="sInRange")
     # s steps, each a product of a term C(n,i)(q-1)^i, of at most
     # min(n b, i (log n + b)) bits, with q-1 (b bits).
     b = q.bit_length()
@@ -50,7 +50,9 @@ def msd_bound(n: int, s: int) -> int:
     """Size bound M(n,s) = C(n+s-1,s) + C(n+s-2,s-1) for spherical sets
     with at most s distinct inner products."""
     if n < 1 or s < 1:
-        raise HypothesisViolationError(f"n and s must be positive: n={n}, s={s}")
+        raise HypothesisViolationError(
+            f"n and s must be positive: n={n}, s={s}", clause="nAndSPositive"
+        )
     # comb(n+s-1, s) takes k = min(s, n-1) steps on numbers of at most
     # min(n+s, k log(n+s)) bits.
     k, big = min(s, n - 1), n + s
@@ -61,7 +63,7 @@ def msd_bound(n: int, s: int) -> int:
 def two_distance_max(n: int) -> int:
     """Maximal size n(n+3)/2 of a spherical two-distance set in n dimensions."""
     if n < 1:
-        raise HypothesisViolationError(f"dimension must be positive: {n}")
+        raise HypothesisViolationError(f"dimension must be positive: {n}", clause="nPositive")
     value = n * (n + 3) // 2
     assert value == msd_bound(n, 2)
     return printable(value)
@@ -71,7 +73,7 @@ def uniform_two_intersection_conjecture(n: int, w: int) -> int:
     """Conjectured maximal size C(n-w+2, 2) of a uniform family of w-sets
     with two distinct intersection sizes (calculator only)."""
     if not 2 <= w <= n:
-        raise HypothesisViolationError(f"need 2 <= w <= n, got w={w}, n={n}")
+        raise HypothesisViolationError(f"need 2 <= w <= n, got w={w}, n={n}", clause="wInRange")
     return printable(comb(n - w + 2, 2))
 
 
@@ -116,9 +118,9 @@ def check_mod_distance_hypotheses(n: int, q: int, p: int, lam: int) -> ModDistan
     """Evaluate every hypothesis clause of the modular constant-distance
     bound; the qLambda clause requires q*lambda != n(q-1)+1 mod p."""
     if q <= 1:
-        raise HypothesisViolationError(f"alphabet size must exceed 1: {q}")
+        raise HypothesisViolationError(f"alphabet size must exceed 1: {q}", clause="qAboveOne")
     if lam <= 0:
-        raise HypothesisViolationError(f"lambda must be positive: {lam}")
+        raise HypothesisViolationError(f"lambda must be positive: {lam}", clause="lambdaPositive")
     if p < 2:
         raise MalformedInputError(f"modulus must be at least 2: {p}")
     if p >= MAX_MODULUS:

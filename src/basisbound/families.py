@@ -42,7 +42,9 @@ class VectorSystem:
     vectors: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.n < 1 or self.n > MAX_GROUND:
+        if self.n < 1:
+            raise MalformedInputError(f"coordinate count must be positive: {self.n}")
+        if self.n > MAX_GROUND:
             raise MalformedInputError(f"coordinate count out of range: {self.n}")
         if self.q < 2:
             raise MalformedInputError(f"alphabet size must be at least 2: {self.q}")

@@ -59,8 +59,36 @@ has least nonzero weight w.  Each one lies in the vertices of weight
 the whole graph when `target_size` stopped the search, or when no round
 raised the size.  The argument holds with second roots unchanged: the
 sub-rounds of round w together cover every clique whose least nonzero
-weight is w.  The rounds and the pass share the graph's complement table,
-built once.
+weight is w.  For the distance predicates the least clique holds the zero
+vector, vertex 0, as shown above, so the pass starts there: it looks for
+the least clique one smaller among the zero vector's neighbours in the
+holders.
+
+The pass branches only on lex-leaders (Crawford, Ginsberg, Luks & Roy,
+"Symmetry-breaking predicates for search problems", KR 1996).
+Coordinate permutations preserve both predicates and every weight, so
+they map the graph, the holders and the zero vector's neighbourhood onto
+themselves.  Let C = (c_1 < c_2 < ...) be the least clique the pass must
+return, and G_k the coordinate permutations that fix c_1 .. c_(k-1).  For
+g in G_k, g(C) is a clique of the same size among the same vertices, so
+g(C) >= C.  Its members other than c_1 .. c_(k-1) all exceed c_(k-1), or
+g(C) would be the smaller; so its next member, the least of g(c_k),
+g(c_(k+1)), ..., is at least c_k, and g(c_k) >= c_k: c_k is the
+byte-least vector of its G_k-orbit.  The orbits of G_k on the
+coordinates are the cells on which c_1 .. c_(k-1) agree column by
+column.  By induction each c_j is non-decreasing inside every cell of its
+own G_j, so the cells stay intervals, and a vector is least in its
+G_k-orbit exactly when it is non-decreasing inside every cell of G_k.
+So at depth k the pass branches only on candidates with v_i <= v_(i+1) at
+every adjacent pair (i, i+1) inside one cell, and drops the candidates
+below the least of them, since every later member exceeds c_k.  The
+others stay in the candidate sets, because they can still be later
+members.  On intersection n=12, lambda=3 the pass takes 0.03 s where the
+plain one took 26.6 s (Python 3.11, a shared 2-core VM).
+
+The rounds and the pass share the graph's complement table, built once,
+and the vertices' symbol masks per coordinate, from which the adjacency,
+the weight masks and the pass's order masks are read.
 """
 
 from __future__ import annotations
@@ -121,13 +149,18 @@ class SearchProblem:
             if self.p < 2:
                 raise MalformedInputError(f"modulus must be at least 2: {self.p}")
             if self.lam <= 0:
-                raise HypothesisViolationError(f"lambda must be positive: {self.lam}")
+                raise HypothesisViolationError(
+                    f"lambda must be positive: {self.lam}", clause="lambdaPositive"
+                )
         else:
             if self.lam is None or self.lam <= 0:
-                raise HypothesisViolationError(f"lambda must be positive: {self.lam}")
+                raise HypothesisViolationError(
+                    f"lambda must be positive: {self.lam}", clause="lambdaPositive"
+                )
             if self.predicate == PRED_INTERSECT_CONST and self.q != 2:
                 raise HypothesisViolationError(
-                    "intersection predicate is defined for set families (q = 2)"
+                    "intersection predicate is defined for set families (q = 2)",
+                    clause="qIsTwo",
                 )
 
     def pair_values(self) -> list[int]:
@@ -158,24 +191,29 @@ class SearchResult:
 
 def enumerate_space(n: int, q: int, weights) -> list[bytes]:
     """The vectors of [0,q-1]^n whose weight (number of nonzero entries) is
-    in `weights`, in byte order.  They are grown one coordinate at a time
-    from the prefixes that can still reach such a weight, so no layer is
-    longer than the result, and each layer stays sorted."""
-    vectors = [b""]
+    in `weights`, in byte order.  They are grown from the last coordinate
+    to the first in one list per suffix weight, each list kept only while
+    its weight can still end at one in `weights`.  A coordinate put in
+    front of a sorted list, zero first, keeps it sorted, so one sort merges
+    the final lists."""
+    weights = {w for w in weights if 0 <= w <= n}
     nonzero = [bytes((s,)) for s in range(1, q)]
-    for c in range(n):
-        left = n - c - 1
-        # The weights of the prefixes that can still end at one in `weights`.
-        reach = {w - j for w in weights for j in range(left + 1)}
-        grown = []
-        for v in vectors:
-            k = c - v.count(0)
-            if k in reach:
-                grown.append(v + b"\x00")
-            if k + 1 in reach:
-                grown += [v + s for s in nonzero]
-        vectors = grown
-    return vectors
+    # gap[k]: the nonzero entries a suffix of weight k still needs to reach
+    # the least weight in `weights` at or above k.
+    gap = [n + 1] * (n + 2)
+    for k in range(n, -1, -1):
+        gap[k] = 0 if k in weights else gap[k + 1] + 1
+    layers = [[b""]]  # layers[k]: the suffixes of weight k
+    for left in range(n - 1, -1, -1):  # coordinates left in front of the new one
+        grown = [[b"\x00" + v for v in layer] if gap[k] <= left else []
+                 for k, layer in enumerate(layers)]
+        grown.append([])
+        for k in range(1, len(grown)):
+            if gap[k] <= left and layers[k - 1]:
+                for s in nonzero:
+                    grown[k] += [s + v for v in layers[k - 1]]
+        layers = grown
+    return sorted([v for w in weights for v in layers[w]])
 
 
 def second_roots(n: int, q: int, w: int, weights) -> Iterator[tuple[int, bytes]]:
@@ -209,21 +247,18 @@ def search_max(problem: SearchProblem) -> SearchResult:
             f"search graph of {count} vertices exceeds the guard {MAX_GRAPH_VERTICES}"
         )
     vectors = enumerate_space(n, q, weights)
-    adj = kernel.adjacency(vectors, n, values, not rooted)
+    symbols = kernel.symbol_masks(vectors, n)
+    adj = kernel.adjacency(vectors, n, values, not rooted, symbols)
     nonadj = kernel.complement(adj)
     target = problem.target_size or 0
     # Canonical first and second roots per weight, ascending (see the module
     # docstring).
-    at_least = [0] * (n + 2)  # at_least[w]: the vertices of weight >= w
-    for i, v in enumerate(vectors):
-        at_least[n - v.count(0)] |= 1 << i
-    for w in range(n, -1, -1):
-        at_least[w] |= at_least[w + 1]
+    at_least = kernel.weight_masks(symbols, len(vectors))
     size, nodes = 1, 0
     # The vertices that can hold a maximum clique (see the module
     # docstring): all of them until a round raises the size, then those of
     # weight at least the raising round's, with the zero vector for the
-    # distance predicates.
+    # distance predicates, where the pass starts.
     holders = at_least[0]
     for w in sorted(weights - {0}):
         if target and size >= target:
@@ -248,12 +283,18 @@ def search_max(problem: SearchProblem) -> SearchResult:
                 adj, nonadj, first + (i,), at_least[k], best, target)
             nodes += more
         if best > size:
-            size, holders = best, at_least[w] | (1 if rooted else 0)
+            size, holders = best, at_least[w]
     early = bool(target) and size >= target
     if early:
         # Report the target size itself, witnessed by the least clique of
         # that size.
         size, holders = target, at_least[0]
-    witness = kernel.first_clique_of_size(adj, nonadj, size, holders)
-    system = VectorSystem.from_lists(n, q, [tuple(vectors[i]) for i in sorted(witness)])
+    if rooted:
+        # The least clique holds the zero vector, vertex 0 (see the module
+        # docstring).
+        rest = kernel.first_clique_of_size(adj, nonadj, size - 1, holders & adj[0], symbols)
+        witness = (0, *rest)
+    else:
+        witness = kernel.first_clique_of_size(adj, nonadj, size, holders, symbols)
+    system = VectorSystem.from_lists(n, q, [tuple(vectors[i]) for i in witness])
     return SearchResult(size, system, nodes, not early)

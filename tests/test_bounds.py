@@ -39,12 +39,12 @@ def test_delsarte_matches_binomial_sum():
 
 
 def test_delsarte_guards():
-    with pytest.raises(HypothesisViolationError):
-        delsarte_bound(3, 2, 0)
-    with pytest.raises(HypothesisViolationError):
-        delsarte_bound(3, 2, 4)
-    with pytest.raises(HypothesisViolationError):
-        delsarte_bound(3, 1, 1)
+    for args, clause in (
+        ((3, 2, 0), "sInRange"), ((3, 2, 4), "sInRange"), ((3, 1, 1), "qAboveOne")
+    ):
+        with pytest.raises(HypothesisViolationError) as err:
+            delsarte_bound(*args)
+        assert err.value.clause == clause
 
 
 @pytest.mark.parametrize("n,s,expected", [(2, 2, 5), (6, 2, 27), (5, 1, 6)])
@@ -73,8 +73,25 @@ def test_conjecture_values(n, w, expected):
 
 
 def test_conjecture_guard():
-    with pytest.raises(HypothesisViolationError):
+    with pytest.raises(HypothesisViolationError) as err:
         uniform_two_intersection_conjecture(3, 1)
+    assert err.value.clause == "wInRange"
+
+
+@pytest.mark.parametrize(
+    "call, clause",
+    [
+        (lambda: msd_bound(0, 2), "nAndSPositive"),
+        (lambda: msd_bound(3, 0), "nAndSPositive"),
+        (lambda: two_distance_max(0), "nPositive"),
+        (lambda: check_mod_distance_hypotheses(4, 1, 3, 1), "qAboveOne"),
+        (lambda: check_mod_distance_hypotheses(4, 2, 3, 0), "lambdaPositive"),
+    ],
+)
+def test_hypothesis_violations_name_their_clause(call, clause):
+    with pytest.raises(HypothesisViolationError) as err:
+        call()
+    assert err.value.clause == clause
 
 
 def test_mod_distance_check_all_clauses_hold():

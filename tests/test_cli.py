@@ -680,7 +680,9 @@ SEARCH_3 = ["search", "--n", "3", "--q", "2", "--pred"]
         (SEARCH_3 + ["dist-mod", "--lambda", "1", "--p", "1"], None,
          3, "kind", "MalformedInputError", "modulus must be at least 2: 1"),
         (SEARCH_3 + ["dist-mod", "--lambda", "0", "--p", "3"], None,
-         2, "clause", None, "lambda must be positive: 0"),
+         2, "clause", "lambdaPositive", "lambda must be positive: 0"),
+        (["search", "--n", "3", "--q", "3", "--pred", "inter-const", "--lambda", "1"], None,
+         2, "clause", "qIsTwo", "intersection predicate is defined for set families (q = 2)"),
         (["certify", "two-distance", "--gram"],
          {**PENTAGON, "gram": [[*PENTAGON["gram"][0][:1], PENTAGON["b"], *PENTAGON["gram"][0][2:]],
                                *PENTAGON["gram"][1:]]},
@@ -692,17 +694,21 @@ SEARCH_3 = ["search", "--n", "3", "--q", "2", "--pred"]
         (["construct", "lambda-design", "--pg", "2", "--block-index", "7"], None,
          3, "kind", "MalformedInputError", "block index 7 out of range"),
         (["bound", "msd", "--n", "0", "--s", "2"], None,
-         2, "clause", None, "n and s must be positive: n=0, s=2"),
+         2, "clause", "nAndSPositive", "n and s must be positive: n=0, s=2"),
         (["bound", "two-dist-max", "--n", "0"], None,
-         2, "clause", None, "dimension must be positive: 0"),
+         2, "clause", "nPositive", "dimension must be positive: 0"),
         (["certify", "hamming-tight", "--p", "3", "--lambda", "1", "--vectors"],
          {"n": 0, "q": 2, "vectors": []},
-         3, "kind", "MalformedInputError", "coordinate count out of range: 0"),
+         3, "kind", "MalformedInputError", "coordinate count must be positive: 0"),
+        (["certify", "hamming-tight", "--p", "3", "--lambda", "1", "--vectors"],
+         {"n": 1025, "q": 2, "vectors": []},
+         3, "kind", "MalformedInputError", "coordinate count out of range: 1025"),
     ],
     ids=["matrix-unknown-field-kind", "dist-list-not-int", "hamming-tight-p-below-q",
          "search-n-zero", "dist-set-without-list", "dist-mod-without-p", "dist-mod-p-one",
-         "dist-mod-lambda-zero", "gram-asymmetric", "gram-coords-count", "gram-a-malformed",
-         "lambda-design-block-index", "msd-n-zero", "two-dist-max-n-zero", "vectors-n-zero"],
+         "dist-mod-lambda-zero", "inter-const-q-three", "gram-asymmetric", "gram-coords-count",
+         "gram-a-malformed", "lambda-design-block-index", "msd-n-zero", "two-dist-max-n-zero",
+         "vectors-n-zero", "vectors-n-too-large"],
 )
 def test_error_exits(tmp_path, capsys, argv, document, code, key, value, message):
     """Each user-reachable error exit: its code, its exception's kind (exit

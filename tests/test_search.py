@@ -229,10 +229,17 @@ def test_graph_guard_before_enumeration(monkeypatch):
 
 
 def test_problem_validation():
-    with pytest.raises(HypothesisViolationError):
-        SearchProblem(3, 3, PRED_INTERSECT_CONST, lam=1)  # needs q = 2
-    with pytest.raises(HypothesisViolationError):
-        SearchProblem(3, 2, PRED_DIST_CONST, lam=0)
+    for args, clause in (
+        ((3, 3, PRED_INTERSECT_CONST, 1), "qIsTwo"),
+        ((3, 2, PRED_DIST_CONST, 0), "lambdaPositive"),
+        ((3, 2, PRED_INTERSECT_CONST, -1), "lambdaPositive"),
+    ):
+        with pytest.raises(HypothesisViolationError) as err:
+            SearchProblem(*args[:3], lam=args[3])
+        assert err.value.clause == clause
+    with pytest.raises(HypothesisViolationError) as err:
+        SearchProblem(3, 2, PRED_DIST_MOD, lam=0, p=3)
+    assert err.value.clause == "lambdaPositive"
     import basisbound.errors as errors
 
     with pytest.raises(errors.MalformedInputError):

@@ -531,8 +531,8 @@ def _fisher_kappa(sigma, scale: int, total: int, lam: int) -> list[Fraction]:
     Sherman-Morrison gives kappa_i = lambda sigma_i / (1 + lambda S), where
     sigma_i = sum_{j : i in A_j} 1/d_j and S = sum_j 1/d_j.  Both sums come
     as integers over L = lcm(d_j) (`scale`): sigma_i L and S L (`total`)."""
-    denom = scale + lam * total
-    return [Fraction(lam * s, denom) for s in sigma]
+    value = {s: Fraction(lam * s, scale + lam * total) for s in dict.fromkeys(sigma)}
+    return [value[s] for s in sigma]
 
 
 def ryser_decompose(family: SetFamily, lam: int) -> Certificate:
@@ -549,6 +549,9 @@ def ryser_decompose(family: SetFamily, lam: int) -> Certificate:
     from that pass, that at most two kappa values occur, and classifies
     the family: one value gives the uniform regular alternative, two
     values give degrees r, r' with kappa + kappa' = 1 and r + r' = n + 1.
+    kappa_i depends on the integer sigma_i L alone, so each value derived
+    from it is computed and formatted once per distinct sigma_i L; as the
+    format is canonical, a per-point list identity compares the two texts.
     """
     n = family.n
     if lam <= 0:
@@ -568,20 +571,14 @@ def ryser_decompose(family: SetFamily, lam: int) -> Certificate:
     sizes = family.sizes()
     for idx, s in enumerate(sizes):
         if s <= lam:
-            raise HypothesisViolationError(
-                f"set {idx} has size {s} <= lambda = {lam}", clause="sizesAboveLambda"
-            )
+            raise HypothesisViolationError(f"set {idx} has size {s} <= lambda = {lam}",
+                                           clause="sizesAboveLambda")
     if count != n:
-        raise HypothesisViolationError(
-            f"need as many sets as points: {count} != {n}", clause="familySize"
-        )
+        raise HypothesisViolationError(f"need as many sets as points: {count} != {n}",
+                                       clause="familySize")
 
-    hypotheses = [
-        ("familySizeEqualsGround", True),
-        ("lambdaPositive", True),
-        ("constantIntersection", True),
-        ("sizesAboveLambda", True),
-    ]
+    hypotheses = [(clause, True) for clause in (
+        "familySizeEqualsGround", "lambdaPositive", "constantIntersection", "sizesAboveLambda")]
 
     members = [set_bits(m) for m in masks]
     point_degrees = degrees(family)
@@ -594,12 +591,6 @@ def ryser_decompose(family: SetFamily, lam: int) -> Certificate:
             sigma[i] += w
     total = sum(weights)
     kappa = _fisher_kappa(sigma, scale, total, lam)
-    # Fisher's identity makes A nonsingular, so every point lies in a
-    # member and sigma_i > 0; sigma_i <= S then gives 0 < kappa_i < 1, and
-    # neither 1/kappa_i nor 1/(1 - kappa_i) divides by zero.
-    inverse = {k: 1 / (1 - k) for k in dict.fromkeys(kappa)}
-    degree = {k: k * (n - 1) + 1 for k in inverse}
-
     # Re-substitution, in integers over the incidences: with kappa cleared
     # to integers c by its common denominator D, A kappa = lambda 1 reads
     # sum_{i in A_j} c_i = lambda D for every member j.  A is nonsingular,
@@ -607,48 +598,51 @@ def ryser_decompose(family: SetFamily, lam: int) -> Certificate:
     denom = math.lcm(*(k.denominator for k in kappa))
     ints = [k.numerator * (denom // k.denominator) for k in kappa]
     mismatches = sum(1 for m in members if sum(ints[i] for i in m) != lam * denom)
+
+    # Per distinct sigma_i L: Fisher's identity makes A nonsingular, so every
+    # point lies in a member and sigma_i > 0; sigma_i <= S then gives
+    # 0 < kappa_i < 1, and neither 1/kappa_i nor 1/(1 - kappa_i) divides by zero.
+    by_sigma = dict(zip(sigma, kappa))
+    inverse = {s: 1 / (1 - k) for s, k in by_sigma.items()}
+    degree = {s: k * (n - 1) + 1 for s, k in by_sigma.items()}
+
+    def listed(values, keys=sigma):
+        """QQ.format(values[k]) for k in keys, each value formatted once."""
+        text = {k: QQ.format(v) for k, v in values.items()}
+        return [text[k] for k in keys]
+
+    def same(name, left, right):
+        left, right = "[" + ", ".join(left) + "]", "[" + ", ".join(right) + "]"
+        return Identity(name, left, right, left == right)
+
+    # The reciprocal sums sigma_i and S, read from the incidence pass.
+    point_sums = {s: Fraction(s, scale) for s in by_sigma}
+    global_sum = Fraction(total, scale)
+    per_point = list(dict.fromkeys(
+        1 / k + c - Fraction(1, lam) for k, c in zip(by_sigma.values(), inverse.values())))
+    sigmas = sorted(by_sigma)  # kappa grows with sigma_i
     identities = [
         _equal("monomial_resubstitution_mismatches", QQ, mismatches, 0),
-        _equal("degree_from_kappa", QQ, point_degrees, [degree[k] for k in kappa]),
+        same("degree_from_kappa", listed(dict(zip(point_degrees, point_degrees)), point_degrees),
+             listed(degree)),
+        same("point_reciprocal_sum", listed(point_sums), listed(inverse)),
+        Identity("global_reciprocal_sum", QQ.format(global_sum), _format_list(QQ, per_point),
+                 per_point == [global_sum]),
+        Identity("kappa_value_count", str(len(sigmas)), "1 or 2", len(sigmas) <= 2),
     ]
-
-    # The reciprocal sums sigma_i and S, read from kappa's integers.
-    point_sums = [Fraction(x, scale) for x in sigma]
-    identities.append(_equal("point_reciprocal_sum", QQ, point_sums, [inverse[k] for k in kappa]))
-
-    global_sum = Fraction(total, scale)
-    per_point = list(dict.fromkeys(1 / k + c - Fraction(1, lam) for k, c in inverse.items()))
-    identities.append(
-        Identity(
-            "global_reciprocal_sum",
-            QQ.format(global_sum),
-            _format_list(QQ, per_point),
-            per_point == [global_sum],
-        )
-    )
-
-    kappa_values = sorted(inverse)
-    identities.append(
-        Identity("kappa_value_count", str(len(kappa_values)), "1 or 2", len(kappa_values) <= 2)
-    )
-
-    details = {
-        "n": n,
-        "lambda": lam,
-        "kappa_values": [QQ.format(k) for k in kappa_values],
-        "degrees": point_degrees,
-    }
-    coefficients = [QQ.format(k) for k in kappa]
+    coefficients = listed(by_sigma)
+    details = {"n": n, "lambda": lam, "kappa_values": listed(by_sigma, sigmas),
+               "degrees": point_degrees}
 
     degree_set = sorted(set(point_degrees))
-    rs = [degree[k] for k in kappa_values]
+    rs = [degree[s] for s in sigmas]
     if len(rs) == 1:
         details.update(alternative="A", r=QQ.format(rs[0]))
         identities.append(_equal("uniform_size_equals_degree", QQ, sorted(set(sizes)), rs))
         identities.append(_equal("degrees_uniform", QQ, degree_set, rs))
     elif len(rs) == 2:
         details.update(alternative="B", r=QQ.format(rs[1]), r_prime=QQ.format(rs[0]))
-        identities.append(_equal("kappa_pair_sum", QQ, sum(kappa_values), 1))
+        identities.append(_equal("kappa_pair_sum", QQ, sum(by_sigma.values()), 1))
         identities.append(_equal("degree_pair_sum", QQ, sum(rs), n + 1))
         identities.append(_equal("degrees_take_both_values", QQ, degree_set, rs))
     else:

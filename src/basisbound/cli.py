@@ -78,6 +78,7 @@ from .search import (
     search_max,
 )
 
+PIPE_BUF = 4096  # POSIX: a pipe write of at most PIPE_BUF bytes is all or nothing
 EXIT_CODES = {"pass": 0, "fail": 1, "not-applicable": 2, "hypothesis-violation": 2, "error": 3}
 
 
@@ -290,6 +291,8 @@ def _read_json(path):
 
 
 def _load_matrix(doc) -> ExactMatrix:
+    """Each distinct literal str(entry) is parsed once, in row-major order, as the
+    Gram loader does, so the first bad one names the error; F_p uses `parse_row`."""
     try:
         field_doc = doc["field"]
         kind = field_doc["kind"]
@@ -306,7 +309,11 @@ def _load_matrix(doc) -> ExactMatrix:
         raise MalformedInputError(f"bad matrix document: {exc}") from exc
     if not (isinstance(entries, list) and all(isinstance(row, list) for row in entries)):
         raise MalformedInputError("matrix entries must be a list of rows")
-    return ExactMatrix(field, [[field.parse(str(x)) for x in row] for row in entries])
+    if kind == "prime":
+        return ExactMatrix(field, [field.parse_row(row) for row in entries])
+    literals = [[str(x) for x in row] for row in entries]
+    value = {s: field.parse(s) for s in dict.fromkeys(s for row in literals for s in row)}
+    return ExactMatrix(field, [[value[s] for s in row] for row in literals])
 
 
 def _run_leaf(args):
@@ -413,15 +420,16 @@ def main(argv=None) -> int:
     if out_path:
         try:
             with open(out_path, "w") as fh:
-                json.dump(document, fh, indent=2)
-                fh.write("\n")
+                fh.write(json.dumps(document, indent=2) + "\n")
         except OSError as exc:
             outcome = "error"
             report.update(outcome=outcome, payload=_error_payload(exc))
             error_message = f"cannot write {out_path}: {exc}"
     try:
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        # json.dump makes a system call per token when stdout is unbuffered, and
+        # one long write to a closed pipe can come back short without an error.
+        text = json.dumps(report, indent=2) + "\n"
+        sys.stdout.writelines(text[i:i + PIPE_BUF] for i in range(0, len(text), PIPE_BUF))
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout.  Point it at devnull, so that the

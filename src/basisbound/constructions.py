@@ -143,9 +143,10 @@ def projective_plane(r: int) -> SetFamily:
     """Projective plane of prime order r: r^2+r+1 points and as many lines
     of size r+1, any two lines meeting in one point."""
     if r > MAX_PLANE_ORDER:
-        raise HypothesisViolationError(f"plane order above desk scale: {r} > {MAX_PLANE_ORDER}")
+        raise HypothesisViolationError(f"plane order above desk scale: {r} > {MAX_PLANE_ORDER}",
+                                       clause="planeOrderDeskScale")
     if not is_prime(r):
-        raise HypothesisViolationError(f"plane order must be prime: {r}")
+        raise HypothesisViolationError(f"plane order must be prime: {r}", clause="planeOrderPrime")
     points = _projective_points(r)
     index = {pt: k + 1 for k, pt in enumerate(points)}
     n = len(points)
@@ -187,9 +188,10 @@ def hadamard_design(v: int) -> SetFamily:
     translates of the nonzero quadratic residues mod 4v-1.  Only orders
     with 4v-1 prime are supported."""
     if v < 1:
-        raise HypothesisViolationError(f"order parameter must be positive: {v}")
+        raise HypothesisViolationError(f"order parameter must be positive: {v}", clause="vPositive")
     if v > MAX_HADAMARD_V:
-        raise HypothesisViolationError(f"order parameter above desk scale: {v} > {MAX_HADAMARD_V}")
+        raise HypothesisViolationError(f"order parameter above desk scale: {v} > {MAX_HADAMARD_V}",
+                                       clause="vDeskScale")
     m = 4 * v - 1
     if not is_prime(m):
         raise UnsupportedOrderError(f"4v-1 = {m} is not prime; Paley construction unavailable")
@@ -225,19 +227,20 @@ def lambda_design_type1(design: SetFamily, block_index: int = 0) -> SetFamily:
     n = design.n
     if len(design) != n:
         raise HypothesisViolationError(
-            f"symmetric design needs as many blocks as points: {len(design)} != {n}"
-        )
+            f"symmetric design needs as many blocks as points: {len(design)} != {n}",
+            clause="designSquare")
     if not 0 <= block_index < len(design):
         raise MalformedInputError(f"block index {block_index} out of range")
     sizes = design.sizes()
     if len(set(sizes)) != 1:
-        raise HypothesisViolationError("design blocks are not uniform")
+        raise HypothesisViolationError("design blocks are not uniform", clause="designUniform")
     k = sizes[0]
     if len(design) == 1:
         return design
     intersections = intersection_set(design)
     if len(intersections) != 1:
-        raise HypothesisViolationError("design intersections are not constant")
+        raise HypothesisViolationError("design intersections are not constant",
+                                       clause="designConstantIntersection")
     lam_prime = intersections[0]
     base = design.masks[block_index]
     masks = tuple(m if i == block_index else m ^ base for i, m in enumerate(design.masks))
@@ -334,9 +337,10 @@ def johnson_pairs(m: int) -> GramTwoDistance:
     products 1/2 when the pairs share an index and 0 otherwise.  The span
     is all of R^m; the affine hull has dimension m-1."""
     if m < 4:
-        raise HypothesisViolationError(f"need m >= 4: {m}")
+        raise HypothesisViolationError(f"need m >= 4: {m}", clause="mAtLeastFour")
     if m > MAX_JOHNSON_M:
-        raise HypothesisViolationError(f"dimension above desk scale: {m} > {MAX_JOHNSON_M}")
+        raise HypothesisViolationError(f"dimension above desk scale: {m} > {MAX_JOHNSON_M}",
+                                       clause="mDeskScale")
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     inv_sqrt2 = 1 / math.sqrt(2)
     coords = tuple(

@@ -238,10 +238,10 @@ class RationalField:
     one = Fraction(1)
 
     def coerce(self, x):
-        if isinstance(x, bool):
-            raise MalformedInputError("bool is not a rational scalar")
         if isinstance(x, Fraction):
             return x
+        if isinstance(x, bool):
+            raise MalformedInputError("bool is not a rational scalar")
         if isinstance(x, int):
             return Fraction(x)
         if isinstance(x, str):
@@ -285,7 +285,7 @@ class PrimeFieldCtx:
         self.one = 1 % p
 
     def coerce(self, x):
-        if isinstance(x, bool) or not isinstance(x, int):
+        if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
             raise MalformedInputError(f"cannot coerce {x!r} into F_{self.p}")
         return x % self.p
 
@@ -297,6 +297,15 @@ class PrimeFieldCtx:
         if not 0 <= v < self.p:
             raise MalformedInputError(f"residue {v} outside [0, {self.p})")
         return v
+
+    def parse_row(self, row):
+        """[parse(str(x)) for x in row], by one int() each when all are digits below p."""
+        try:
+            if all(map(str.isdigit, row)) and max(v := list(map(int, row)), default=0) < self.p:
+                return v
+        except (TypeError, ValueError):  # a non-string, or digits int() refuses
+            pass
+        return [self.parse(str(x)) for x in row]
 
     def format(self, a):
         return str(a % self.p)

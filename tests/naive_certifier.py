@@ -1,6 +1,7 @@
 """Reference certifiers for the differential tests: `hamming_tight_certificate`
 and `ryser_decompose` as they ran before their hot loops moved onto
-integers.  The hamming-tight pair check and member sums loop over tuples
+integers, and the matrix loader as it was before it parsed each distinct
+literal once (`load_matrix`, one `field.parse` per entry).  The hamming-tight pair check and member sums loop over tuples
 with `hamming_distance`, each indicator solves a q x q Vandermonde system
 (`indicator_poly`), and the combination is re-expanded entry by entry;
 Ryser's kappa has its own closed form here (`_fisher_kappa`), so the
@@ -14,8 +15,8 @@ from fractions import Fraction
 
 from basisbound.certifier import Identity, _certificate, _equal, _format_list
 from basisbound.errors import HypothesisViolationError, MalformedInputError
-from basisbound.exactfield import QQ, ExactMatrix, PrimeFieldCtx, solve_linear
-from basisbound.families import hamming_distance, set_bits
+from basisbound.exactfield import QQ, ExactMatrix, PrimeFieldCtx, QuadExtField, solve_linear
+from basisbound.families import hamming_distance, json_int, set_bits
 
 
 def degrees(family):
@@ -227,3 +228,25 @@ def ryser_decompose(family, lam):
         details["alternative"] = "none"
 
     return _certificate("ryser", hypotheses, coefficients, identities, details)
+
+
+def load_matrix(doc):
+    """`cli._load_matrix` with every entry parsed on its own, in row-major
+    order, through `field.parse(str(entry))`."""
+    try:
+        field_doc = doc["field"]
+        kind = field_doc["kind"]
+        entries = doc["entries"]
+        if kind == "rational":
+            field = QQ
+        elif kind == "prime":
+            field = PrimeFieldCtx(json_int(field_doc, "p"))
+        elif kind == "quadratic":
+            field = QuadExtField(json_int(field_doc, "d"))
+        else:
+            raise MalformedInputError(f"unknown field kind {kind!r}")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise MalformedInputError(f"bad matrix document: {exc}") from exc
+    if not (isinstance(entries, list) and all(isinstance(row, list) for row in entries)):
+        raise MalformedInputError("matrix entries must be a list of rows")
+    return ExactMatrix(field, [[field.parse(str(x)) for x in row] for row in entries])

@@ -2,13 +2,16 @@
 congruences and the Ryser dichotomy."""
 
 import hashlib
+import importlib.util
 import json
 import math
 import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -22,9 +25,11 @@ from basisbound.certifier import (
     ryser_decompose,
     two_distance_certificate,
 )
+from basisbound.cli import _load_matrix
 from basisbound.constructions import (
     GramTwoDistance,
     fano_plane,
+    hadamard_design,
     hadamard_plus_full,
     johnson_pairs,
     lambda_design_type1,
@@ -605,6 +610,21 @@ def _hadamard2_without_last():
 
 
 SQRT5 = QuadExt(Fraction(0), Fraction(1), 5)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _bench_matrix(kind, seed=2020):
+    """The benchmark's seeded independence matrix of `kind`, as its set-up
+    makes it for `seed` (`perfbench/workloads.py`), loaded by the CLI."""
+    spec = importlib.util.spec_from_file_location("payload_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up here
+    spec.loader.exec_module(workloads)
+    rng = random.Random(seed)
+    docs = {k: workloads.random_matrix(k, size, param, rng)[0]
+            for k, size, param in workloads.INDEPENDENCE}
+    return _load_matrix(docs[kind])
+
 
 # case -> (certificate builder, sha256 of its payload as the CLI prints it).
 PAYLOAD_CASES = {
@@ -615,6 +635,18 @@ PAYLOAD_CASES = {
     "ryser-near-pencil-12": (
         lambda: ryser_decompose(near_pencil(12), 1),
         "5131a407e8152c9f8e83650c9f613b45e9725a53b8786059c7b1ded2486a96a3",
+    ),
+    "ryser-pg5": (
+        lambda: ryser_decompose(projective_plane(5), 1),
+        "683e60da8f35487bed8b17da5b609b565438f47349dba0003572065221b07b25",
+    ),
+    "ryser-pg7": (
+        lambda: ryser_decompose(projective_plane(7), 1),
+        "15d9a921ace1df3e05eb93fecc9e502cff234fcc9dc190fe151a09eeab16fba8",
+    ),
+    "ryser-near-pencil-40": (
+        lambda: ryser_decompose(near_pencil(40), 1),
+        "8bad2e1fa17db5ec463ce04de4d7dd1fd9a45c06ae59fe57610724e12e5ac4db",
     ),
     "hamming-tight-hadamard2": (
         lambda: hamming_tight_certificate(hadamard_plus_full(2).to_vector_system(), 7, 4),
@@ -674,6 +706,18 @@ PAYLOAD_CASES = {
         ),
         "2b293ea66cf39438a2f9d240f23871e4764cf7cf444c5a31880c7e29ebdd5b66",
     ),
+    "independence-bench-q-24": (
+        lambda: certify_independence(_bench_matrix("rational")),
+        "64ea7557e8498e67f5f40cda24f714519febaa0bc8177b784c3de3bc5c834aeb",
+    ),
+    "independence-bench-f10007-48": (
+        lambda: certify_independence(_bench_matrix("prime")),
+        "1d43bddae11dfb3c07c2bdaee6a667dcf4c06a1b576be111bda3b411d47adef4",
+    ),
+    "independence-bench-q-sqrt5-10": (
+        lambda: certify_independence(_bench_matrix("quadratic")),
+        "cd4d86193a6a5ca6ea40b69e04ea88c11174991324c6634905f902d516a648a9",
+    ),
 }
 
 
@@ -729,9 +773,11 @@ def _toggle(family, index, element):
 
 def _ryser_battery():
     rng = random.Random(32)
-    bases = [(projective_plane(r), 1) for r in (2, 3, 5, 7, 11, 13)] + [(_pg2_over_gf4(), 1)]
+    bases = [(projective_plane(r), 1) for r in (2, 3, 5, 7, 11, 13, 17)] + [(_pg2_over_gf4(), 1)]
     bases += [(near_pencil(m), 1) for m in (4, 12, 40)]
-    bases += [(lambda_design_type1(fano_plane(), 0), 2)]
+    bases += [(hadamard_design(v), v - 1) for v in (2, 3)]
+    bases += [(lambda_design_type1(fano_plane(), 0), 2),
+              (lambda_design_type1(projective_plane(3), 0), 3)]
     cases = []
     for family, lam in bases:
         cases += [(family, lam), (family, lam + 1)]
@@ -746,8 +792,9 @@ def _ryser_battery():
 
 def test_ryser_matches_the_fraction_loops():
     """Payloads and errors equal the reference's on the planes PG(2,r) for
-    r <= 13, near pencils, the Fano lambda-design and one-element mutations
-    of each in the first, a middle and the last member."""
+    r <= 17, near pencils, the Hadamard designs for v = 2, 3, the
+    lambda-designs from Fano and PG(2,3), and one-element mutations of each
+    in the first, a middle and the last member."""
     outcomes = set()
     for family, lam in _ryser_battery():
         got = _outcome(ryser_decompose, family, lam)

@@ -10,6 +10,7 @@ import json
 import math
 import operator
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -19,6 +20,7 @@ import tracemalloc
 from itertools import product
 from pathlib import Path
 
+import naive_certifier
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -703,12 +705,33 @@ SEARCH_3 = ["search", "--n", "3", "--q", "2", "--pred"]
         (["certify", "hamming-tight", "--p", "3", "--lambda", "1", "--vectors"],
          {"n": 1025, "q": 2, "vectors": []},
          3, "kind", "MalformedInputError", "coordinate count out of range: 1025"),
+        (["construct", "pg", "--r", "37"], None,
+         2, "clause", "planeOrderDeskScale", "plane order above desk scale: 37 > 31"),
+        (["construct", "lambda-design", "--pg", "4"], None,
+         2, "clause", "planeOrderPrime", "plane order must be prime: 4"),
+        (["construct", "hadamard", "--v", "0"], None,
+         2, "clause", "vPositive", "order parameter must be positive: 0"),
+        (["construct", "hadamard-plus-full", "--v", "129"], None,
+         2, "clause", "vDeskScale", "order parameter above desk scale: 129 > 128"),
+        (["construct", "lambda-design", "--design"], {"n": 3, "sets": [[1, 2], [2, 3]]},
+         2, "clause", "designSquare", "symmetric design needs as many blocks as points: 2 != 3"),
+        (["construct", "lambda-design", "--design"], {"n": 3, "sets": [[1], [1, 2], [2, 3]]},
+         2, "clause", "designUniform", "design blocks are not uniform"),
+        (["construct", "lambda-design", "--design"],
+         {"n": 4, "sets": [[1, 2], [2, 3], [3, 4], [1, 4]]},
+         2, "clause", "designConstantIntersection", "design intersections are not constant"),
+        (["construct", "johnson", "--m", "3"], None,
+         2, "clause", "mAtLeastFour", "need m >= 4: 3"),
+        (["construct", "johnson", "--m", "25"], None,
+         2, "clause", "mDeskScale", "dimension above desk scale: 25 > 24"),
     ],
     ids=["matrix-unknown-field-kind", "dist-list-not-int", "hamming-tight-p-below-q",
          "search-n-zero", "dist-set-without-list", "dist-mod-without-p", "dist-mod-p-one",
          "dist-mod-lambda-zero", "inter-const-q-three", "gram-asymmetric", "gram-coords-count",
          "gram-a-malformed", "lambda-design-block-index", "msd-n-zero", "two-dist-max-n-zero",
-         "vectors-n-zero", "vectors-n-too-large"],
+         "vectors-n-zero", "vectors-n-too-large", "pg-order-too-large", "lambda-design-pg-4",
+         "hadamard-v-zero", "hadamard-v-too-large", "design-not-square", "design-not-uniform",
+         "design-intersections-vary", "johnson-m-three", "johnson-m-too-large"],
 )
 def test_error_exits(tmp_path, capsys, argv, document, code, key, value, message):
     """Each user-reachable error exit: its code, its exception's kind (exit
@@ -902,6 +925,84 @@ def test_certify_loaders_never_crash(case):
         assert report["payload"]["verdict"] == "fail"
     if code == 3:
         assert report["payload"]["kind"] in ERROR_KINDS, report["payload"]
+
+
+# -- loader oracle ----------------------------------------------------------------
+
+
+def _random_literal(rng, kind, param):
+    """A valid entry, drawn from a small pool so that literals repeat; some
+    are JSON numbers or carry spaces, which the loader reads through str()."""
+    small = f"{rng.randint(-9, 9)}/{rng.randint(1, 4)}"
+    if kind == "rational":
+        return rng.choice([small, small, str(rng.randint(-3, 3)), rng.randint(-3, 3), f" {small} "])
+    if kind == "prime":
+        return rng.choice([str(rng.randrange(param)), rng.randrange(param), f" {rng.randrange(param)}"])
+    surd = rng.choice(["", "-", "+"]) + rng.choice(["", f"{rng.randint(1, 5)}/3*"]) + f"sqrt({param})"
+    return rng.choice([small, surd if surd[0] != "+" else small + surd, str(rng.randint(-2, 2))])
+
+
+def _bad_entry(rng, kind, param):
+    """An entry that no field reads, or that this document's field refuses."""
+    out_of_range = str(param + rng.randrange(3)) if kind == "prime" else "1/2/3"
+    return rng.choice(["x", "1/", "--1", "2*sqrt(", True, False, 0.5, 1.0, out_of_range,
+                       "1+sqrt(7)", "1/0", "\u00b2", "9" * 5000, None, [1]])
+
+
+def _random_matrix_document(rng):
+    kind = rng.choice(["rational", "prime", "quadratic"])
+    param = {"rational": None, "prime": rng.choice([2, 3, 7, 10007]),
+             "quadratic": rng.choice([2, 3, 5])}[kind]
+    field = {"kind": kind}
+    if param is not None:
+        field["p" if kind == "prime" else "d"] = param
+    rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+    entries = [[_random_literal(rng, kind, param) for _ in range(cols)] for _ in range(rows)]
+    return kind, param, {"field": field, "entries": entries}
+
+
+def _load_outcome(loader, doc):
+    """The loaded matrix's field and entries, or the error's type and message."""
+    try:
+        matrix = loader(json.loads(json.dumps(doc)))
+    except Exception as exc:  # every error is compared
+        return type(exc), str(exc)
+    return matrix.field, matrix.entries
+
+
+LOADER_ERRORS = ("ragged rows in matrix", "not a rational literal", "bad rational literal",
+                 "zero denominator", "bad decimal literal", "modular scalar must be",
+                 "residue", "radicand", "not a quadratic scalar literal")
+
+
+def test_load_matrix_matches_the_per_entry_loader():
+    """Seeded documents over Q, F_p and Q(sqrt d), valid and with one or two
+    bad entries at random positions (bad literals, bools, floats, residues
+    out of range, the wrong radicand, a zero denominator, a non-ASCII digit,
+    5,000 digits) or a ragged row, load to equal entries or fail with the
+    same error type and message as with one `parse` per entry: the first
+    bad entry in row-major order still names the error."""
+    rng = random.Random(36)
+    seen = set()
+    for trial in range(600):
+        kind, param, doc = _random_matrix_document(rng)
+        entries = doc["entries"]
+        for _ in range(trial % 3):
+            row = rng.randrange(len(entries))
+            entries[row][rng.randrange(len(entries[row]))] = _bad_entry(rng, kind, param)
+        if trial % 7 == 0:
+            row = entries[rng.randrange(len(entries))]
+            if rng.random() < 0.5:
+                row.append(_random_literal(rng, kind, param))
+            else:
+                row.pop()
+        got = _load_outcome(cli._load_matrix, doc)
+        assert got == _load_outcome(naive_certifier.load_matrix, doc), doc
+        if isinstance(got[0], type):
+            seen.update(prefix for prefix in LOADER_ERRORS if got[1].startswith(prefix))
+        else:
+            seen.add("loaded")
+    assert seen == {"loaded", *LOADER_ERRORS}
 
 
 # -- argv fuzzing ---------------------------------------------------------------

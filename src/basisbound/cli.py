@@ -69,26 +69,10 @@ from .constructions import (
 from .errors import HypothesisViolationError, MalformedInputError
 from .exactfield import QQ, ExactMatrix, PrimeFieldCtx, QuadExtField
 from .families import SetFamily, VectorSystem, json_int
-from .search import (
-    PRED_DIST_CONST,
-    PRED_DIST_MOD,
-    PRED_DIST_SET,
-    PRED_INTERSECT_CONST,
-    SearchProblem,
-    search_max,
-)
+from .search import PREDICATES, SearchProblem, search_max
 
 PIPE_BUF = 4096  # POSIX: a pipe write of at most PIPE_BUF bytes is all or nothing
 EXIT_CODES = {"pass": 0, "fail": 1, "not-applicable": 2, "hypothesis-violation": 2, "error": 3}
-
-
-# --pred choice -> search predicate, in the order argparse lists the choices.
-PREDICATES = {
-    "dist-set": PRED_DIST_SET,
-    "dist-mod": PRED_DIST_MOD,
-    "dist-const": PRED_DIST_CONST,
-    "inter-const": PRED_INTERSECT_CONST,
-}
 
 FILE_ARGS = {"matrix", "vectors", "gram", "family", "design"}
 TEXT_ARGS = {"d1sq", "d2sq"}
@@ -252,7 +236,7 @@ def build_parser(argv=()) -> Parser:
     if command in (None, "search"):
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--q", type=int, required=True)
-        p.add_argument("--pred", required=True, choices=list(PREDICATES))
+        p.add_argument("--pred", required=True, choices=[row[0] for row in PREDICATES.values()])
         p.add_argument("--lambda", dest="lam", type=int)
         p.add_argument("--p", type=int)
         p.add_argument("--dist-list", help="comma-separated allowed distances for dist-set")
@@ -336,7 +320,7 @@ def _run_leaf(args):
 
 
 def _run_search(args):
-    predicate = PREDICATES[args.pred]
+    predicate = next(name for name, row in PREDICATES.items() if row[0] == args.pred)
     allowed = None
     if args.dist_list is not None:
         try:

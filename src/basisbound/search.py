@@ -2,20 +2,27 @@
 or intersection predicates: the brute-force oracle that validates every
 bound at desk scale and produces extremal witnesses for the certifiers.
 
+Each predicate is one row of PREDICATES: its `search --pred` choice, its
+pair statistic (the Hamming distance, or the size of the supports'
+intersection), the problem fields it needs and which values of the
+statistic, its pair values, it allows.  SearchProblem, the search and the
+command line all read the table, so a new predicate is a new row.
+
 The search is a maximum-clique computation on the pairwise compatibility
 graph of the vectors of [0,q-1]^n whose weight lies in a set W, built in
-enumeration (byte) order.  Hamming distance is invariant under translation
-of Z_q^n, so for the distance predicates only cliques through the zero
-vector are searched: W is {0} and the allowed distances, the zero vector
-and its neighbours N(0).  For the intersection predicate W is {0} and
-[lambda, n]: every member of a clique of two or more sets has weight at
-least lambda, and the zero vector is the one-set family when none has.  On
+enumeration (byte) order; every clique searched holds a start tuple, which
+the statistic fixes with W.  Hamming distance is invariant under
+translation of Z_q^n, so for distances the start is (0,), the zero vector,
+and W is {0} and the pair values: the zero vector and its neighbours N(0).
+For intersections the start is () and W is {0} and [lambda, n], lambda the
+least pair value: every member of a clique of two or more sets has weight
+at least lambda, and the zero vector is the one-set family when none has.  On
 that graph one round per weight w is searched, in ascending w, with the
 best size so far as the incumbent.  Round w fixes the canonical first roots
-(0, r_w) for the distance predicates and r_w for the intersection
-predicate, r_w = 0^(n-w) 1^w, and splits into one sub-round per orbit of a
-second root s under the first roots' stabiliser, in ascending (weight of s,
-index of s).  A sub-round draws the other members from the vertices of
+start + (r_w,), r_w = 0^(n-w) 1^w: (0, r_w) for distances and (r_w,) for
+intersections.  It splits into one sub-round per orbit of a second root s
+under the first roots' stabiliser, in ascending (weight of s, index of s).
+A sub-round draws the other members from the vertices of
 weight >= weight(s); a round with no second root adjacent to its first
 roots yields the first roots themselves (isomorph rejection by canonical
 roots; McKay, J. Algorithms 1998; Kaski & Ostergard, Classification
@@ -53,16 +60,15 @@ lambda meet no other set in lambda points.
 The pass searches only the vertices that can hold that clique.  Let w* be
 the first root weight whose round reached the final size k.  Every earlier
 round w ran with an incumbent below k and found no clique of size k, so by
-the symmetry above no such clique (through 0, for the distance predicates)
-has least nonzero weight w.  Each one lies in the vertices of weight
->= w*, with the zero vector for the distance predicates.  The pass searches
-the whole graph when `target_size` stopped the search, or when no round
-raised the size.  The argument holds with second roots unchanged: the
-sub-rounds of round w together cover every clique whose least nonzero
-weight is w.  For the distance predicates the least clique holds the zero
-vector, vertex 0, as shown above, so the pass starts there: it looks for
-the least clique one smaller among the zero vector's neighbours in the
-holders.
+the symmetry above no such clique holding the start has least nonzero
+weight w, and each one lies in the start and the vertices of weight >= w*.
+The pass searches the whole graph when `target_size` stopped the search, or
+when no round raised the size.  The argument holds with second roots
+unchanged: the sub-rounds of round w together cover every clique whose
+least nonzero weight is w.  The least clique holds the start, as shown
+above (the zero vector is vertex 0), so the witness is the start followed
+by the least clique of len(start) fewer vertices among the holders in
+N(start), the common neighbours of the start's vertices.
 
 The pass branches only on lex-leaders (Crawford, Ginsberg, Luks & Roy,
 "Symmetry-breaking predicates for search problems", KR 1996).
@@ -115,7 +121,22 @@ PRED_DIST_MOD = "distance-mod"
 PRED_DIST_CONST = "distance-constant"
 PRED_INTERSECT_CONST = "intersection-constant"
 
-_PREDICATES = (PRED_DIST_SET, PRED_DIST_MOD, PRED_DIST_CONST, PRED_INTERSECT_CONST)
+# One row per predicate, in the order `search --pred` lists them:
+# SearchProblem.predicate -> (its --pred choice; whether its pair statistic is
+# the size of the supports' intersection, not the Hamming distance; the
+# problem fields it needs; the error when one is missing; whether it allows
+# the pair value d).
+PREDICATES = {
+    PRED_DIST_SET: ("dist-set", False, ("allowed",), "distance-set predicate needs a distance set",
+                    lambda problem, d: d in problem.allowed),
+    PRED_DIST_MOD: ("dist-mod", False, ("lam", "p"), "distance-mod predicate needs lambda and p",
+                    lambda problem, d: d % problem.p == problem.lam % problem.p),
+    PRED_DIST_CONST: ("dist-const", False, ("lam",), "distance-constant predicate needs lambda",
+                      lambda problem, d: d == problem.lam),
+    PRED_INTERSECT_CONST: ("inter-const", True, ("lam",),
+                           "intersection-constant predicate needs lambda",
+                           lambda problem, d: d == problem.lam),
+}
 
 
 @dataclass(frozen=True)
@@ -134,43 +155,30 @@ class SearchProblem:
         if not 2 <= self.q <= 256:
             # Vectors are byte strings.
             raise MalformedInputError(f"alphabet size must be in [2, 256]: {self.q}")
-        if self.predicate not in _PREDICATES:
+        if self.predicate not in PREDICATES:
             raise MalformedInputError(f"unknown predicate {self.predicate!r}")
         if self.target_size is not None and self.target_size < 1:
             raise MalformedInputError(f"target size must be at least 1: {self.target_size}")
-        if self.predicate == PRED_DIST_SET:
-            if not self.allowed:
-                raise MalformedInputError("distance-set predicate needs a distance set")
-            if any(not 1 <= d <= self.n for d in self.allowed):
-                raise MalformedInputError(f"distance set outside [1, {self.n}]")
-        elif self.predicate == PRED_DIST_MOD:
-            if self.lam is None or self.p is None:
-                raise MalformedInputError("distance-mod predicate needs lambda and p")
-            if self.p < 2:
-                raise MalformedInputError(f"modulus must be at least 2: {self.p}")
-            if self.lam <= 0:
-                raise HypothesisViolationError(
-                    f"lambda must be positive: {self.lam}", clause="lambdaPositive"
-                )
-        else:
-            if self.lam is None or self.lam <= 0:
-                raise HypothesisViolationError(
-                    f"lambda must be positive: {self.lam}", clause="lambdaPositive"
-                )
-            if self.predicate == PRED_INTERSECT_CONST and self.q != 2:
-                raise HypothesisViolationError(
-                    "intersection predicate is defined for set families (q = 2)",
-                    clause="qIsTwo",
-                )
+        _, intersect, needs, missing, _ = PREDICATES[self.predicate]
+        # An empty distance set is missing too.
+        if any(getattr(self, field) in (None, ()) for field in needs):
+            raise MalformedInputError(missing)
+        if "p" in needs and self.p < 2:
+            raise MalformedInputError(f"modulus must be at least 2: {self.p}")
+        if "allowed" in needs and any(not 1 <= d <= self.n for d in self.allowed):
+            raise MalformedInputError(f"distance set outside [1, {self.n}]")
+        if "lam" in needs and self.lam <= 0:
+            raise HypothesisViolationError(
+                f"lambda must be positive: {self.lam}", clause="lambdaPositive")
+        if intersect and self.q != 2:
+            raise HypothesisViolationError(
+                "intersection predicate is defined for set families (q = 2)", clause="qIsTwo")
 
     def pair_values(self) -> list[int]:
         """The pair values (distances, or intersection sizes) in [0, n]
         for which the predicate holds, ascending."""
-        if self.predicate == PRED_DIST_MOD:
-            return [d for d in range(self.n + 1) if d % self.p == self.lam % self.p]
-        if self.predicate == PRED_DIST_SET:
-            return sorted(set(self.allowed))
-        return [self.lam] if self.lam <= self.n else []
+        allows = PREDICATES[self.predicate][4]
+        return [d for d in range(self.n + 1) if allows(self, d)]
 
 
 @dataclass(frozen=True)
@@ -237,9 +245,11 @@ def search_max(problem: SearchProblem) -> SearchResult:
     n, q = problem.n, problem.q
     if n > MAX_COORDINATES:
         raise ResourceGuardError(f"{n} coordinates exceed the guard {MAX_COORDINATES}")
-    rooted = problem.predicate != PRED_INTERSECT_CONST
+    intersect = PREDICATES[problem.predicate][1]
     values = problem.pair_values()
-    weights = {0, *values} if rooted else {0, *range(problem.lam, n + 1)}
+    # The start tuple and W (see the module docstring).
+    start = () if intersect else (0,)
+    weights = {0, *(range(min(values, default=n + 1), n + 1) if intersect else values)}
     # At most q^n <= 2^512, since n is capped.
     count = sum(comb(n, w) * (q - 1) ** w for w in weights)
     if count > MAX_GRAPH_VERTICES:
@@ -248,23 +258,22 @@ def search_max(problem: SearchProblem) -> SearchResult:
         )
     vectors = enumerate_space(n, q, weights)
     symbols = kernel.symbol_masks(vectors, n)
-    adj = kernel.adjacency(vectors, n, values, not rooted, symbols)
+    adj = kernel.adjacency(vectors, n, values, intersect, symbols)
     nonadj = kernel.complement(adj)
     target = problem.target_size or 0
     # Canonical first and second roots per weight, ascending (see the module
     # docstring).
     at_least = kernel.weight_masks(symbols, len(vectors))
     size, nodes = 1, 0
-    # The vertices that can hold a maximum clique (see the module
-    # docstring): all of them until a round raises the size, then those of
-    # weight at least the raising round's, with the zero vector for the
-    # distance predicates, where the pass starts.
+    # The vertices that can hold a maximum clique besides `start` (see the
+    # module docstring): all of them until a round raises the size, then
+    # those of weight at least the raising round's.
     holders = at_least[0]
     for w in sorted(weights - {0}):
         if target and size >= target:
             break
         r = bisect_left(vectors, bytes(n - w) + b"\x01" * w)
-        first = (0, r) if rooted else (r,)
+        first = start + (r,)
         cand = at_least[w]
         for v in first:
             cand &= adj[v]
@@ -286,15 +295,12 @@ def search_max(problem: SearchProblem) -> SearchResult:
             size, holders = best, at_least[w]
     early = bool(target) and size >= target
     if early:
-        # Report the target size itself, witnessed by the least clique of
-        # that size.
+        # Report the target size, witnessed by the least clique of that size.
         size, holders = target, at_least[0]
-    if rooted:
-        # The least clique holds the zero vector, vertex 0 (see the module
-        # docstring).
-        rest = kernel.first_clique_of_size(adj, nonadj, size - 1, holders & adj[0], symbols)
-        witness = (0, *rest)
-    else:
-        witness = kernel.first_clique_of_size(adj, nonadj, size, holders, symbols)
+    # The least clique holds `start`: the pass looks among its neighbours.
+    for v in start:
+        holders &= adj[v]
+    witness = (*start, *kernel.first_clique_of_size(
+        adj, nonadj, size - len(start), holders, symbols))
     system = VectorSystem.from_lists(n, q, [tuple(vectors[i]) for i in witness])
     return SearchResult(size, system, nodes, not early)

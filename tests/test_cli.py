@@ -679,6 +679,10 @@ SEARCH_3 = ["search", "--n", "3", "--q", "2", "--pred"]
          3, "kind", "MalformedInputError", "distance-set predicate needs a distance set"),
         (SEARCH_3 + ["dist-mod", "--lambda", "1"], None,
          3, "kind", "MalformedInputError", "distance-mod predicate needs lambda and p"),
+        (SEARCH_3 + ["dist-const"], None,
+         3, "kind", "MalformedInputError", "distance-constant predicate needs lambda"),
+        (SEARCH_3 + ["inter-const"], None,
+         3, "kind", "MalformedInputError", "intersection-constant predicate needs lambda"),
         (SEARCH_3 + ["dist-mod", "--lambda", "1", "--p", "1"], None,
          3, "kind", "MalformedInputError", "modulus must be at least 2: 1"),
         (SEARCH_3 + ["dist-mod", "--lambda", "0", "--p", "3"], None,
@@ -726,7 +730,8 @@ SEARCH_3 = ["search", "--n", "3", "--q", "2", "--pred"]
          2, "clause", "mDeskScale", "dimension above desk scale: 25 > 24"),
     ],
     ids=["matrix-unknown-field-kind", "dist-list-not-int", "hamming-tight-p-below-q",
-         "search-n-zero", "dist-set-without-list", "dist-mod-without-p", "dist-mod-p-one",
+         "search-n-zero", "dist-set-without-list", "dist-mod-without-p",
+         "dist-const-without-lambda", "inter-const-without-lambda", "dist-mod-p-one",
          "dist-mod-lambda-zero", "inter-const-q-three", "gram-asymmetric", "gram-coords-count",
          "gram-a-malformed", "lambda-design-block-index", "msd-n-zero", "two-dist-max-n-zero",
          "vectors-n-zero", "vectors-n-too-large", "pg-order-too-large", "lambda-design-pg-4",

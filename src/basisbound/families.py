@@ -122,9 +122,7 @@ class SetFamily:
 
     @property
     def sets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(i + 1 for i in range(self.n) if m >> i & 1) for m in self.masks
-        )
+        return tuple(tuple(i + 1 for i in set_bits(m)) for m in self.masks)
 
     def sizes(self) -> list[int]:
         return [m.bit_count() for m in self.masks]
